@@ -34,7 +34,7 @@ from .dynamics import (  # noqa: F401
     lindblad_step,
     sme_step,
 )
-from .herald import FilterConfig, FilterState, detect_failure, filter_update  # noqa: F401
+from .herald import FilterConfig, FilterState, detect_failure  # noqa: F401
 from .solver import (  # noqa: F401
     RunConfig,
     RunOutcome,

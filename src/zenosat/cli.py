@@ -39,7 +39,9 @@ from .satcore import (
 )
 from .solver import (
     RunConfig,
+    run_average,
     run_full,
+    run_heralded_restart,
     run_heralded_single,
     success_probability,
 )
@@ -169,12 +171,6 @@ def _best_solution_fidelity(rho: np.ndarray, f: CnfFormula, theta: float) -> flo
     return max(fidelity_pure(rho, solution_state(f, s, theta)) for s in sols.assignments)
 
 
-def _run_average_final(f: CnfFormula, cfg: RunConfig):
-    from .solver import run_average
-
-    return run_average(f, cfg).final_rho
-
-
 def _exp_fidelity_contour(spec: dict, outdir: Path, jobs: int) -> list[str]:
     f = _load_formula(spec.get("cnf", "builtin:unique2"))
     tau = spec.get("tau", 1.0)
@@ -184,7 +180,7 @@ def _exp_fidelity_contour(spec: dict, outdir: Path, jobs: int) -> list[str]:
             cfg = RunConfig(
                 t_f=tf_over_tau * tau, dt=dt_over_tau * tau, dt_m=0.0, tau=tau
             )
-            rho = _run_average_final(f, cfg)
+            rho = run_average(f, cfg).final_rho
             rows.append(
                 [dt_over_tau, tf_over_tau,
                  _best_solution_fidelity(rho, f, math.pi / 2.0)]
@@ -204,7 +200,7 @@ def _exp_gamma_scan(spec: dict, outdir: Path, jobs: int) -> list[str]:
     for gamma_tf in spec["gamma_tf"]:
         t_f = 4.0 * tau * gamma_tf  # Gamma = 1/(4 tau)
         cfg = RunConfig(t_f=t_f, dt=dt, dt_m=0.0, tau=tau)
-        rho = _run_average_final(f, cfg)
+        rho = run_average(f, cfg).final_rho
         conc = concurrence_2q(rho) if n == 2 else math.nan
         zs = [local_z(rho, j) for j in range(1, n + 1)]
         rows.append(
@@ -219,18 +215,24 @@ def _exp_gamma_scan(spec: dict, outdir: Path, jobs: int) -> list[str]:
     return [f"{name}.csv"]
 
 
-def _exp_phase_transition(spec: dict, outdir: Path, jobs: int) -> list[str]:
+def _sweep_config(spec: dict, t_f: float, mode: str) -> RunConfig:
+    """RunConfig of the sweep kinds: spec times in units of tau, with
+    dt 0.05 and dtm 50 unless the spec sets them."""
     tau = spec.get("tau", 1.0)
+    return RunConfig(
+        t_f=t_f * tau,
+        dt=spec.get("dt", 0.05) * tau,
+        dt_m=spec.get("dtm", 50.0) * tau,
+        tau=tau,
+        mode=mode,
+    )
+
+
+def _exp_phase_transition(spec: dict, outdir: Path, jobs: int) -> list[str]:
     rows = []
     for mode in spec.get("modes", ["average"]):
         for t_f in spec["tf_list"]:
-            cfg = RunConfig(
-                t_f=t_f * tau,
-                dt=spec.get("dt", 0.05) * tau,
-                dt_m=spec.get("dtm", 50.0) * tau,
-                tau=tau,
-                mode=mode,
-            )
+            cfg = _sweep_config(spec, t_f, mode)
             curve = phase_transition_curve(
                 n=spec["n"],
                 k=spec["k"],
@@ -260,10 +262,8 @@ def _instance_p_s(f: CnfFormula, cfg: RunConfig,
     """Mean exact readout success probability over evolved final states."""
     sols = enumerate_solutions(f)
     if cfg.mode == "average":
-        rho = _run_average_final(f, cfg)
+        rho = run_average(f, cfg).final_rho
         return success_probability(rho, f, cfg.tau, cfg.dt_m, sols)
-    from .solver import run_heralded_restart
-
     total = 0.0
     for _ in range(trajectories):
         out = run_heralded_restart(f, cfg, rng)
@@ -272,19 +272,12 @@ def _instance_p_s(f: CnfFormula, cfg: RunConfig,
 
 
 def _exp_tts_scaling(spec: dict, outdir: Path, jobs: int) -> list[str]:
-    tau = spec.get("tau", 1.0)
     mode = spec.get("mode", "average")
     rows = []
     points = []
     for n in spec["n_list"]:
         rng = np.random.default_rng([spec["seed"], n])
-        cfg = RunConfig(
-            t_f=spec["tf"] * tau,
-            dt=spec.get("dt", 0.05) * tau,
-            dt_m=spec.get("dtm", 50.0) * tau,
-            tau=tau,
-            mode=mode,
-        )
+        cfg = _sweep_config(spec, spec["tf"], mode)
         ps = []
         for _ in range(spec.get("instances", 20)):
             f = random_unique_solution_instance(n, spec["alpha"], spec["k"], rng)
@@ -315,7 +308,6 @@ def _exp_tts_scaling(spec: dict, outdir: Path, jobs: int) -> list[str]:
 
 
 def _exp_tts_vs_tf(spec: dict, outdir: Path, jobs: int) -> list[str]:
-    tau = spec.get("tau", 1.0)
     mode = spec.get("mode", "average")
     rng = np.random.default_rng(spec["seed"])
     if "cnf" in spec:
@@ -327,13 +319,7 @@ def _exp_tts_vs_tf(spec: dict, outdir: Path, jobs: int) -> list[str]:
         ]
     rows = []
     for tf in spec["tf_list"]:
-        cfg = RunConfig(
-            t_f=tf * tau,
-            dt=spec.get("dt", 0.05) * tau,
-            dt_m=spec.get("dtm", 50.0) * tau,
-            tau=tau,
-            mode=mode,
-        )
+        cfg = _sweep_config(spec, tf, mode)
         ps = [
             _instance_p_s(f, cfg, spec.get("trajectories", 10), rng)
             for f in instances
@@ -402,6 +388,13 @@ def _coerce(value: str):
         return value
 
 
+class _Spec(dict):
+    """An experiment spec: reading a required key it lacks is a usage error."""
+
+    def __missing__(self, key):
+        raise ValueError(f"{self['kind']} spec is missing required key {key!r}")
+
+
 def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
     kind = spec.get("kind")
     if kind not in EXPERIMENTS:
@@ -409,7 +402,7 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
     if "seed" not in spec:
         raise ValueError("experiment spec must declare a seed")
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = EXPERIMENTS[kind](spec, outdir, jobs)
+    outputs = EXPERIMENTS[kind](_Spec(spec), outdir, jobs)
     name = spec.get("name", kind.replace("-", "_"))
     _write_manifest(outdir / f"{name}_manifest.json", spec, outputs)
     return outputs

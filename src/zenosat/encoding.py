@@ -11,6 +11,7 @@ ZHAT = |1><1| - |0><0|.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -116,7 +117,8 @@ def clause_observable(f: CnfFormula, i: int) -> ClauseObservable:
 class ClauseSet:
     """All clause projectors/observables of a formula, built as one stacked
     (m, 2^n, 2^n) array per theta. Permutation gather indices are precomputed
-    so a rebuild costs a few vectorized ops per step.
+    so a rebuild costs a few vectorized ops per step. Raises ValueError when
+    these dense arrays would not fit in physical memory.
     """
 
     def __init__(self, f: CnfFormula):
@@ -125,6 +127,15 @@ class ClauseSet:
         self.m = f.num_clauses
         self.k = f.k
         self.dim = 1 << self.n
+        # refuse before allocating: gather table, identity and the (m, 2^n, 2^n)
+        # stack take 8 bytes an entry
+        need = 8 * self.dim * (self.m + self.dim * (1 + self.m))
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(
+                f"{self.n} variables, {self.m} clauses need {need / 2**30:.3g} GiB of"
+                f" dense operators, more than {have / 2**30:.3g} GiB of physical memory"
+            )
         self.negations = np.array(
             [[lit.negated for lit in cl] for cl in f.clauses], dtype=bool
         )

@@ -38,13 +38,6 @@ class FilterConfig:
         """Buffer length covering [t - T_be, t]."""
         return math.ceil(self.t_be / self.dt - 1e-9)
 
-    @classmethod
-    def defaults(cls, tau: float, t_f: float, dt: float) -> "FilterConfig":
-        """T_be = max(2 tau, 0.1 T_f) and r_th = -2.5/sqrt(T_be)."""
-        t_be = max(2.0 * tau, 0.1 * t_f)
-        t_be = max(t_be, dt)
-        return cls(t_be=t_be, r_th=-2.5 / math.sqrt(t_be), dt=dt)
-
 
 class FilterState:
     """Per-channel filtered values rbar plus the raw-sample ring buffer.
@@ -90,12 +83,6 @@ class FilterState:
         if not self.warmed:
             return np.zeros(self.shape, dtype=bool)
         return self.rbar < self.cfg.r_th
-
-
-def filter_update(fs: FilterState, r_new: np.ndarray) -> FilterState:
-    """Functional-style wrapper around FilterState.update."""
-    fs.update(r_new)
-    return fs
 
 
 def detect_failure(fs: FilterState) -> Optional[int]:

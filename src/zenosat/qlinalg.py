@@ -29,11 +29,6 @@ def num_qubits(dim: int) -> int:
     return n
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dims multiply."""
-    return np.kron(a, b)
-
-
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     out = np.asarray(factors[0])
     for f in factors[1:]:

@@ -29,6 +29,7 @@ from .qlinalg import local_z, plus_density, purity
 from .satcore import Assignment, CnfFormula, SolutionSet, evaluate, to_bitstring
 
 MODES = ("average", "heralded-single", "heralded-restart")
+_CONTINUUM_THRESHOLD = 0.02  # dt/tau at or below which continuum kernels run
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class RunConfig:
     t_be: Optional[float] = None  # None: max(2 tau, 0.1 horizon)
     r_th: Optional[float] = None  # None: -2.5/sqrt(T_be)
     t_min: Optional[float] = None  # None: 5 tau
-    continuum_threshold: float = 0.02
     record_every: int = 0  # record diagnostics every k steps; 0 disables
 
     def __post_init__(self) -> None:
@@ -60,7 +60,7 @@ class RunConfig:
 
     @property
     def continuum(self) -> bool:
-        return self.dt / self.tau <= self.continuum_threshold
+        return self.dt / self.tau <= _CONTINUUM_THRESHOLD
 
     def resolved_t_min(self) -> float:
         return 5.0 * self.tau if self.t_min is None else self.t_min
@@ -140,26 +140,67 @@ class _Recorder:
         return {key: np.asarray(val) for key, val in self.data.items()}
 
 
-def run_average(f: CnfFormula, cfg: RunConfig) -> RunOutcome:
-    """Averaged (unconditional) evolution from (|+><+|)^n over T_f.
+# Kernels apply every clause for one dt and return (rho, readouts or None).
+# They look the dynamics functions up at call time, so patches of these names
+# in zenosat.solver (tracing, profiling) reach every call.
 
-    Continuum regime (dt/tau <= threshold) integrates all clauses with a
-    simultaneous Lindblad step; otherwise clause maps apply sequentially.
+
+def _lindblad(rho, xs, mc, rng):
+    return lindblad_step(rho, xs, mc.tau, mc.dt), None
+
+
+def _average_maps(rho, xs, mc, rng):
+    for x in xs:
+        rho = average_map(rho, x, mc)
+    return rho, None
+
+
+def _sme(rho, xs, mc, rng):
+    return sme_step(rho, xs, mc.tau, mc.dt, rng)
+
+
+def _kraus_maps(rho, xs, mc, rng):
+    readouts = np.empty(len(xs))
+    for i, x in enumerate(xs):
+        rho, readouts[i] = kraus_measure(rho, x, mc, rng)
+    return rho, readouts
+
+
+def _evolve(
+    f: CnfFormula,
+    cfg: RunConfig,
+    horizon: float,
+    rng: Optional[np.random.Generator],
+    detect: bool,
+) -> RunOutcome:
+    """Evolve (|+><+|)^n under the schedule compressed to ``horizon``.
+
+    A mode is a kernel plus a detection policy. With an rng the kernel samples
+    readouts (Kraus measurements, or the stochastic master equation in the
+    continuum regime), which are filtered per clause; with ``detect`` a
+    filtered signal below threshold aborts the run with the elapsed time.
+    Without an rng the evolution is readout-averaged (sequential averaged
+    maps, or the Lindblad step in the continuum regime).
     """
     cs = ClauseSet(f)
     rho = plus_density(f.num_vars)
     mc = MeasurementConfig(tau=cfg.tau, dt=cfg.dt)
-    steps = _num_steps(cfg.t_f, cfg.dt)
-    rec = _Recorder(cfg.record_every, ("purity", "z"))
+    sampled = rng is not None
+    if sampled:
+        kernel = _sme if cfg.continuum else _kraus_maps
+        mode, keys = "heralded-single", ("purity", "z", "r", "rbar")
+        fs = FilterState(cfg.filter_config(horizon), (cs.m,))
+    else:
+        kernel = _lindblad if cfg.continuum else _average_maps
+        mode, keys = "average", ("purity", "z")
+    steps = _num_steps(horizon, cfg.dt)
+    rec = _Recorder(cfg.record_every, keys)
     for step in range(1, steps + 1):
         t = step * cfg.dt
-        theta = cfg.schedule.theta(t / cfg.t_f)
-        xs = cs.observables(theta)
-        if cfg.continuum:
-            rho = lindblad_step(rho, xs, cfg.tau, cfg.dt)
-        else:
-            for i in range(cs.m):
-                rho = average_map(rho, xs[i], mc)
+        theta = cfg.schedule.theta(t / horizon)
+        rho, readouts = kernel(rho, cs.observables(theta), mc, rng)
+        if sampled:
+            fs.update(readouts)
         if rec.want(step):
             rec.push(
                 t=t,
@@ -167,13 +208,34 @@ def run_average(f: CnfFormula, cfg: RunConfig) -> RunOutcome:
                 purity=purity(rho),
                 z=[local_z(rho, j) for j in range(1, f.num_vars + 1)],
             )
+            if sampled:
+                rec.push(r=readouts.copy(), rbar=fs.rbar.copy())
+        if detect and (hit := detect_failure(fs)) is not None:
+            return RunOutcome(
+                mode=mode,
+                seed=cfg.seed,
+                consumed_time=t,
+                failed=True,
+                failed_at=t,
+                failed_clause=hit,
+                diagnostics=rec.asdict(),
+            )
     return RunOutcome(
-        mode="average",
+        mode=mode,
         seed=cfg.seed,
         consumed_time=steps * cfg.dt,
         final_rho=rho,
         diagnostics=rec.asdict(),
     )
+
+
+def run_average(f: CnfFormula, cfg: RunConfig) -> RunOutcome:
+    """Averaged (unconditional) evolution from (|+><+|)^n over T_f.
+
+    Continuum regime (dt/tau <= threshold) integrates all clauses with a
+    simultaneous Lindblad step; otherwise clause maps apply sequentially.
+    """
+    return _evolve(f, cfg, cfg.t_f, None, detect=False)
 
 
 def run_heralded_single(
@@ -188,52 +250,7 @@ def run_heralded_single(
     The schedule is compressed to ``horizon`` (default T_f). A filtered
     clause signal below threshold aborts the run with the elapsed time.
     """
-    horizon = cfg.t_f if horizon is None else horizon
-    cs = ClauseSet(f)
-    rho = plus_density(f.num_vars)
-    mc = MeasurementConfig(tau=cfg.tau, dt=cfg.dt)
-    fs = FilterState(cfg.filter_config(horizon), (cs.m,))
-    steps = _num_steps(horizon, cfg.dt)
-    rec = _Recorder(cfg.record_every, ("purity", "z", "r", "rbar"))
-    for step in range(1, steps + 1):
-        t = step * cfg.dt
-        theta = cfg.schedule.theta(t / horizon)
-        xs = cs.observables(theta)
-        if cfg.continuum:
-            rho, readouts = sme_step(rho, xs, cfg.tau, cfg.dt, rng)
-        else:
-            readouts = np.empty(cs.m)
-            for i in range(cs.m):
-                rho, readouts[i] = kraus_measure(rho, xs[i], mc, rng)
-        fs.update(readouts)
-        if rec.want(step):
-            rec.push(
-                t=t,
-                theta=theta,
-                purity=purity(rho),
-                z=[local_z(rho, j) for j in range(1, f.num_vars + 1)],
-                r=readouts.copy(),
-                rbar=fs.rbar.copy(),
-            )
-        if detect:
-            hit = detect_failure(fs)
-            if hit is not None:
-                return RunOutcome(
-                    mode="heralded-single",
-                    seed=cfg.seed,
-                    consumed_time=t,
-                    failed=True,
-                    failed_at=t,
-                    failed_clause=hit,
-                    diagnostics=rec.asdict(),
-                )
-    return RunOutcome(
-        mode="heralded-single",
-        seed=cfg.seed,
-        consumed_time=steps * cfg.dt,
-        final_rho=rho,
-        diagnostics=rec.asdict(),
-    )
+    return _evolve(f, cfg, cfg.t_f if horizon is None else horizon, rng, detect)
 
 
 def run_heralded_restart(
@@ -250,22 +267,16 @@ def run_heralded_restart(
     t_rest = cfg.t_f
     consumed = 0.0
     attempts = 0
-    while t_rest >= max(t_min, cfg.dt):
+    while True:
         attempts += 1
-        out = run_heralded_single(f, cfg, rng, horizon=t_rest, detect=True)
+        detect = t_rest >= max(t_min, cfg.dt)  # else: last chance, undetected
+        out = run_heralded_single(f, cfg, rng, max(t_rest, cfg.dt), detect)
         consumed += out.consumed_time
         if not out.failed:
-            out.mode = "heralded-restart"
-            out.consumed_time = consumed
-            out.num_attempts = attempts
-            return out
+            break
         t_rest -= out.failed_at
-    # budget nearly exhausted: last chance without failure detection
-    attempts += 1
-    final_horizon = max(t_rest, cfg.dt)
-    out = run_heralded_single(f, cfg, rng, horizon=final_horizon, detect=False)
     out.mode = "heralded-restart"
-    out.consumed_time = consumed + out.consumed_time
+    out.consumed_time = consumed
     out.num_attempts = attempts
     return out
 

@@ -80,6 +80,13 @@ def test_solve_missing_file_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_refuses_register_too_large_for_memory(tmp_path, capsys):
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 20 2\n1 2 0\n3 4 0\n")
+    assert main(["solve", str(cnf)]) == EXIT_USAGE
+    assert "physical memory" in capsys.readouterr().err
+
+
 def test_solve_with_custom_schedule_file(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     sched.write_text(json.dumps([[0.0, 0.0], [0.5, 1.5], [1.0, 1.5707963267948966]]))
@@ -266,6 +273,16 @@ def test_experiment_requires_seed(tmp_path, capsys):
     spec_path.write_text(json.dumps({"kind": "gamma-scan", "gamma_tf": [1.0]}))
     assert main(["experiment", str(spec_path)]) == EXIT_USAGE
     assert "seed" in capsys.readouterr().err
+
+
+def test_experiment_missing_key_is_usage_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps({"kind": "tts-vs-Tf", "seed": 1, "cnf": "builtin:unique2"})
+    )
+    assert main(["experiment", str(spec_path), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "tts-vs-Tf" in err and "'tf_list'" in err
 
 
 def test_experiment_unknown_kind(tmp_path):

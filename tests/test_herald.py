@@ -15,9 +15,9 @@ from zenosat.herald import (
     FilterState,
     detect_failure,
     exponential_window,
-    filter_update,
     windowed_filter_reference,
 )
+from zenosat.solver import RunConfig
 
 
 def run_filter(samples, cfg):
@@ -35,10 +35,11 @@ def test_config_validation_and_window():
 
 
 def test_default_config_rule():
-    cfg = FilterConfig.defaults(tau=1.0, t_f=10.0, dt=0.01)
+    run = RunConfig(t_f=200.0, dt=0.01, dt_m=0.0, tau=1.0)
+    cfg = run.filter_config(horizon=10.0)
     assert cfg.t_be == pytest.approx(2.0)  # 2 tau dominates 0.1 T_f
     assert cfg.r_th == pytest.approx(-2.5 / math.sqrt(2.0))
-    cfg = FilterConfig.defaults(tau=1.0, t_f=200.0, dt=0.01)
+    cfg = run.filter_config(horizon=200.0)
     assert cfg.t_be == pytest.approx(20.0)  # 0.1 T_f dominates
     assert cfg.r_th == pytest.approx(-2.5 / math.sqrt(20.0))
 
@@ -152,13 +153,11 @@ def test_batched_layout_matches_individual_channels():
             assert fs.rbar[i, j] == pytest.approx(ref.rbar)
 
 
-def test_update_shape_check_and_functional_wrapper():
+def test_update_shape_check():
     cfg = FilterConfig(t_be=0.1, r_th=-0.5, dt=0.01)
     fs = FilterState(cfg, (2,))
     with pytest.raises(ValueError):
         fs.update(np.zeros(3))
-    same = filter_update(fs, np.zeros(2))
-    assert same is fs
 
 
 def test_exponential_window_support():

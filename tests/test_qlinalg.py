@@ -15,7 +15,6 @@ from zenosat.qlinalg import (
     concurrence_2q,
     embed_on_qubits,
     fidelity_pure,
-    kron,
     kron_all,
     local_z,
     num_qubits,
@@ -55,7 +54,6 @@ def test_kron_all_matches_nested_kron():
     mats = [rng.normal(size=(2, 2)) for _ in range(3)]
     expected = np.kron(np.kron(mats[0], mats[1]), mats[2])
     assert np.allclose(kron_all(mats), expected)
-    assert np.allclose(kron(mats[0], mats[1]), np.kron(mats[0], mats[1]))
 
 
 def test_plus_state_and_density():
