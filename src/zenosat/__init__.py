@@ -47,12 +47,9 @@ from .solver import (  # noqa: F401
 )
 from .metrics import (  # noqa: F401
     ScalingFit,
-    TtsReport,
     fit_lambda,
     n_star,
-    n_star_unique_bias,
     phase_transition_curve,
     tts_99,
     tts_with_readout,
-    ttus,
 )

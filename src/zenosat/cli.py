@@ -89,6 +89,8 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    # the first output creates the directory, so a refused spec leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -388,6 +390,11 @@ def _coerce(value: str):
         return value
 
 
+_LIST_KEYS = (
+    "tf_list", "n_list", "alphas", "gamma_tf", "tf_over_tau", "dt_over_tau", "modes"
+)
+
+
 class _Spec(dict):
     """An experiment spec: reading a required key it lacks is a usage error."""
 
@@ -401,7 +408,9 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
         raise ValueError(f"unknown experiment kind {kind!r}")
     if "seed" not in spec:
         raise ValueError("experiment spec must declare a seed")
-    outdir.mkdir(parents=True, exist_ok=True)
+    for key in _LIST_KEYS:
+        if key in spec and not isinstance(spec[key], list):
+            raise ValueError(f"{kind} spec key {key!r} must be a JSON array")
     outputs = EXPERIMENTS[kind](_Spec(spec), outdir, jobs)
     name = spec.get("name", kind.replace("-", "_"))
     _write_manifest(outdir / f"{name}_manifest.json", spec, outputs)

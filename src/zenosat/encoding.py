@@ -114,85 +114,58 @@ def clause_observable(f: CnfFormula, i: int) -> ClauseObservable:
     )
 
 
+# Peak of the arrays one solver step allocates, in (m, 2^n, 2^n) stacks,
+# measured with tracemalloc at n = 7, m = 28 (observables plus kernel):
+# sme_step 4.11, lindblad_step 3.00, kraus_measure or average_map 1.29.
+_PEAK_STACKS = 5
+_IDENTITY = np.eye(2)[None]
+
+
 class ClauseSet:
     """All clause projectors/observables of a formula, built as one stacked
-    (m, 2^n, 2^n) array per theta. Permutation gather indices are precomputed
-    so a rebuild costs a few vectorized ops per step. Raises ValueError when
-    these dense arrays would not fit in physical memory.
+    (m, 2^n, 2^n) array per theta. A clause projector is a tensor product over
+    the qubits (qubit 1 most significant): the violating single-qubit projector
+    on each of the clause's qubits, the identity elsewhere. Raises ValueError
+    when a run's per-step arrays would not fit in physical memory.
     """
 
     def __init__(self, f: CnfFormula):
-        self.formula = f
         self.n = f.num_vars
         self.m = f.num_clauses
-        self.k = f.k
         self.dim = 1 << self.n
-        # refuse before allocating: gather table, identity and the (m, 2^n, 2^n)
-        # stack take 8 bytes an entry
-        need = 8 * self.dim * (self.m + self.dim * (1 + self.m))
+        need = _PEAK_STACKS * 8 * self.m * self.dim**2
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise ValueError(
                 f"{self.n} variables, {self.m} clauses need {need / 2**30:.3g} GiB of"
-                f" dense operators, more than {have / 2**30:.3g} GiB of physical memory"
+                f" dense operators per step, more than {have / 2**30:.3g} GiB of"
+                " physical memory"
             )
-        self.negations = np.array(
-            [[lit.negated for lit in cl] for cl in f.clauses], dtype=bool
-        )
-        self._gather = self._build_gather()
-        self._eye = np.eye(self.dim)
-
-    def _build_gather(self) -> np.ndarray:
-        """gather[i, x] maps full-register basis index x to the clause-local
-        ordering (clause qubits first, remaining qubits ascending), so the
-        embedded projector is a gather of (local projector) kron (identity).
-        """
-        n, k, dim = self.n, self.k, self.dim
-        x = np.arange(dim)
-        gather = np.empty((self.m, dim), dtype=np.intp)
-        for i, cl in enumerate(self.formula.clauses):
-            targets = [lit.variable for lit in cl]
-            rest = [q for q in range(1, n + 1) if q not in targets]
-            hi = np.zeros(dim, dtype=np.intp)
-            for pos, q in enumerate(targets):
-                hi = (hi << 1) | ((x >> (n - q)) & 1)
-            lo = np.zeros(dim, dtype=np.intp)
-            for q in rest:
-                lo = (lo << 1) | ((x >> (n - q)) & 1)
-            gather[i] = (hi << (n - k)) + lo
-        return gather
-
-    def local_vectors(self, theta: float) -> np.ndarray:
-        """(m, 2^k) violating product vectors on clause-local qubits."""
-        u_pos = violating_state(theta, negated=False)
-        u_neg = violating_state(theta, negated=True)
-        # per-clause per-literal 2-vectors, shape (m, k, 2)
-        u = np.where(self.negations[:, :, None], u_neg, u_pos)
-        v = np.ones((self.m, 1))
-        for q in range(self.k):
-            v = (v[:, :, None] * u[:, q, None, :]).reshape(self.m, -1)
-        return v
+        # per (clause, qubit) factor: 0 identity, 1 positive literal, 2 negated
+        self._factor = np.zeros((self.m, self.n), dtype=np.intp)
+        for i, cl in enumerate(f.clauses):
+            for lit in cl:
+                self._factor[i, lit.variable - 1] = 2 if lit.negated else 1
 
     def projectors(self, theta: float) -> np.ndarray:
         """(m, 2^n, 2^n) stacked clause projectors at theta."""
-        v = self.local_vectors(theta)
-        local = v[:, :, None] * v[:, None, :]
-        rest = np.eye(1 << (self.n - self.k))
-        big = np.einsum("mab,rs->marbs", local, rest).reshape(
-            self.m, self.dim, self.dim
-        )
-        g = self._gather
-        rows = np.arange(self.m)[:, None, None]
-        return big[rows, g[:, :, None], g[:, None, :]]
+        u = np.array([violating_state(theta, False), violating_state(theta, True)])
+        table = np.concatenate([_IDENTITY, u[:, :, None] * u[:, None, :]])
+        factors = table[self._factor]  # (m, n, 2, 2)
+        p = factors[:, 0]
+        for q in range(1, self.n):
+            d = 2 * p.shape[-1]
+            p = (p[:, :, None, :, None] * factors[:, q, None, :, None, :]).reshape(
+                self.m, d, d
+            )
+        return p
 
     def observables(self, theta: float) -> np.ndarray:
         """(m, 2^n, 2^n) stacked X_i(theta) = 1 - 2 P_i(theta)."""
-        return self._eye[None, :, :] - 2.0 * self.projectors(theta)
-
-    def expectations(self, rho: np.ndarray, theta: float) -> np.ndarray:
-        """<X_i(theta)> for every clause; rho may carry leading batch dims."""
-        xs = self.observables(theta)
-        return np.real(np.einsum("mij,...ji->...m", xs, rho))
+        x = self.projectors(theta)
+        x *= -2.0
+        x.reshape(self.m, -1)[:, :: self.dim + 1] += 1.0
+        return x
 
 
 def solution_state(f: CnfFormula, s: Assignment, theta: float) -> np.ndarray:

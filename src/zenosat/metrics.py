@@ -6,24 +6,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .satcore import CnfFormula, is_satisfiable, random_instance
 from .solver import RunConfig, run_full
-
-
-@dataclass(frozen=True)
-class TtsReport:
-    """Run-count and time-to-solution figures at a confidence level."""
-
-    p_s: float
-    p_star: float
-    n_star: float
-    tts_m: float
-    tts_99: float
 
 
 @dataclass(frozen=True)
@@ -61,36 +50,12 @@ def tts_99(p_s: float, t_f: float) -> float:
     return t_f * math.log(0.01) / math.log(1.0 - p_s)
 
 
-def tts_report(p_s: float, t_f: float, dt_m: float, p_star: float = 0.99) -> TtsReport:
-    return TtsReport(
-        p_s=p_s,
-        p_star=p_star,
-        n_star=n_star(p_s, p_star),
-        tts_m=tts_with_readout(p_s, p_star, t_f, dt_m),
-        tts_99=tts_99(p_s, t_f),
-    )
-
-
 def unique_bias_success(z_t: float, dt_m: float, tau: float, n: int) -> float:
     """Readout success probability for a unique solution with uniform local
     bias |z_T| on every qubit: (1 + |z_T| erf(sqrt(dt_m/2 tau)))^n / 2^n.
     """
     e_val = math.erf(math.sqrt(dt_m / (2.0 * tau))) if dt_m > 0 else 0.0
     return (1.0 + abs(z_t) * e_val) ** n / 2.0**n
-
-
-def n_star_unique_bias(
-    z_t: float, dt_m: float, tau: float, n: int, p_star: float = 0.99
-) -> float:
-    """Run count for the uniform-bias unique-solution readout model."""
-    return n_star(unique_bias_success(z_t, dt_m, tau, n), p_star)
-
-
-def ttus(
-    z_t: float, dt_m: float, tau: float, n: int, p_star: float, t_f: float
-) -> float:
-    """Time to a unique solution under the uniform-bias readout model."""
-    return n_star_unique_bias(z_t, dt_m, tau, n, p_star) * (t_f + dt_m)
 
 
 def _decide_instance(args) -> bool:
@@ -199,7 +164,3 @@ def polynomial_minimum(
     vals = np.polyval(coeffs, grid)
     i = int(np.argmin(vals))
     return float(grid[i]), float(vals[i])
-
-
-def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    return replace(cfg, seed=seed)

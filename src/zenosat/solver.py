@@ -26,7 +26,14 @@ from .dynamics import (
 from .encoding import ClauseSet, Schedule
 from .herald import FilterConfig, FilterState, detect_failure
 from .qlinalg import local_z, plus_density, purity
-from .satcore import Assignment, CnfFormula, SolutionSet, evaluate, to_bitstring
+from .satcore import (
+    Assignment,
+    CnfFormula,
+    SolutionSet,
+    enumerate_solutions,
+    evaluate,
+    to_bitstring,
+)
 
 MODES = ("average", "heralded-single", "heralded-restart")
 _CONTINUUM_THRESHOLD = 0.02  # dt/tau at or below which continuum kernels run
@@ -322,8 +329,6 @@ def success_probability(
     summed over all oracle solutions (events disjoint once E is near 1; the
     overlap at small dt_m is quantified in tests, not assumed away).
     """
-    from .satcore import enumerate_solutions
-
     n = f.num_vars
     d = 1 << n
     if solutions is None:

@@ -285,6 +285,23 @@ def test_experiment_missing_key_is_usage_error(tmp_path, capsys):
     assert "tts-vs-Tf" in err and "'tf_list'" in err
 
 
+def test_experiment_list_key_must_be_array(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"kind": "tts-vs-Tf", "seed": 1, "cnf": "builtin:unique2", "tf_list": 5}
+    ))
+    assert main(["experiment", str(spec_path), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "tts-vs-Tf" in err and "'tf_list'" in err
+
+
+def test_refused_spec_leaves_no_output_directory(tmp_path):
+    outdir = tmp_path / "out" / "sweep"
+    with pytest.raises(ValueError):
+        run_experiment_spec({"kind": "tts-vs-Tf", "seed": 1}, outdir)
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_unknown_kind(tmp_path):
     with pytest.raises(ValueError):
         run_experiment_spec({"kind": "bogus", "seed": 0}, tmp_path)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenosat import encoding
 from zenosat.encoding import (
     ClauseSet,
     Schedule,
@@ -27,6 +28,7 @@ from zenosat.satcore import (
     TWO_SAT_TWO_SOLUTIONS,
     TWO_SAT_UNIQUE,
     enumerate_solutions,
+    formula,
     random_instance,
 )
 
@@ -123,37 +125,46 @@ def test_projector_and_observable_algebra(theta):
         assert np.trace(x) == pytest.approx(2.0)  # dim - 2 * rank
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_clause_set_matches_per_clause_reference(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 6))
-    k = int(rng.integers(2, min(3, n) + 1))
-    f = random_instance(n, 1.5, k, rng)
+# formulas whose clause layout the random instances rarely or never produce
+CLAUSE_LAYOUTS = {
+    "n1-k1": formula(1, [-1]),
+    "whole-register": formula(3, [1, -2, 3], [-3, -1, 2]),
+    "n7": formula(7, [1, -4, 7], [-2, 3, -6], [5, 6, -1]),
+    "out-of-order": formula(4, [3, -1, 2], [-4, 2, -3]),
+}
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3, *CLAUSE_LAYOUTS])
+def test_clause_set_matches_per_clause_reference(case):
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(2, min(3, n) + 1))
+        f = random_instance(n, 1.5, k, rng)
+        thetas = [float(rng.uniform(0.0, math.pi / 2))]
+    else:
+        f = CLAUSE_LAYOUTS[case]
+        thetas = [0.8]
     cs = ClauseSet(f)
-    theta = float(rng.uniform(0.0, math.pi / 2))
-    ps = cs.projectors(theta)
-    xs = cs.observables(theta)
-    for i in range(f.num_clauses):
-        ref = clause_observable(f, i)
-        assert np.allclose(ps[i], ref.projector(theta), atol=1e-13)
-        assert np.allclose(xs[i], ref.observable(theta), atol=1e-13)
+    for theta in [0.0, *thetas, math.pi / 2]:
+        ps = cs.projectors(theta)
+        xs = cs.observables(theta)
+        for i in range(f.num_clauses):
+            ref = clause_observable(f, i)
+            assert np.allclose(ps[i], ref.projector(theta), atol=1e-13)
+            assert np.allclose(xs[i], ref.observable(theta), atol=1e-13)
 
 
-def test_clause_set_expectations():
-    cs = ClauseSet(TWO_SAT_UNIQUE)
-    theta = 0.9
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(4, 4))
-    rho = a @ a.T
-    rho /= np.trace(rho)
-    xs = cs.observables(theta)
-    expected = [np.trace(x @ rho) for x in xs]
-    assert np.allclose(cs.expectations(rho, theta), expected)
-    # batched input broadcasts
-    batch = np.stack([rho, np.eye(4) / 4])
-    vals = cs.expectations(batch, theta)
-    assert vals.shape == (2, 3)
-    assert np.allclose(vals[0], expected)
+def test_clause_set_refuses_when_a_step_exceeds_memory(monkeypatch):
+    stack = 8 * TWO_SAT_UNIQUE.num_clauses * 4**TWO_SAT_UNIQUE.num_vars
+    memory = {"SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(encoding.os, "sysconf", memory.__getitem__)
+    # one (m, 2^n, 2^n) stack fits, but a step's temporaries do not
+    memory["SC_PHYS_PAGES"] = 2 * stack
+    with pytest.raises(ValueError, match="physical memory"):
+        ClauseSet(TWO_SAT_UNIQUE)
+    memory["SC_PHYS_PAGES"] = 10 * stack
+    ClauseSet(TWO_SAT_UNIQUE)
 
 
 # ---------------------------------------------------------------- solutions

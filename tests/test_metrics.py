@@ -12,16 +12,12 @@ from zenosat.metrics import (
     _decide_instance,
     fit_lambda,
     n_star,
-    n_star_unique_bias,
     phase_transition_curve,
     phase_transition_point,
     polynomial_minimum,
     tts_99,
-    tts_report,
     tts_with_readout,
-    ttus,
     unique_bias_success,
-    with_seed,
 )
 from zenosat.satcore import TWO_SAT_UNIQUE, TWO_SAT_UNSAT
 from zenosat.solver import RunConfig
@@ -47,9 +43,6 @@ def test_tts_definitions_are_consistent():
     assert tts_99(1.0, t_f) == t_f
     # the ceiled and un-ceiled counts differ by less than one run
     assert abs(tts_with_readout(p, 0.99, t_f, 0.0) - tts_99(p, t_f)) <= t_f
-    rep = tts_report(p, t_f, dt_m)
-    assert rep.p_s == p and rep.n_star == n_star(p)
-    assert rep.tts_m == tts_with_readout(p, 0.99, t_f, dt_m)
 
 
 def test_unique_bias_readout_model():
@@ -58,10 +51,6 @@ def test_unique_bias_readout_model():
     assert unique_bias_success(0.9, 0.0, 1.0, 3) == pytest.approx(1 / 8)
     # perfect bias and long readout: certainty
     assert unique_bias_success(1.0, 1e12, 1.0, 3) == pytest.approx(1.0)
-    # run-count and time wrappers
-    p = unique_bias_success(0.8, 5.0, 1.0, 4)
-    assert n_star_unique_bias(0.8, 5.0, 1.0, 4) == n_star(p)
-    assert ttus(0.8, 5.0, 1.0, 4, 0.99, 30.0) == n_star(p) * 35.0
 
 
 # ---------------------------------------------------------------- decisions
@@ -143,11 +132,3 @@ def test_polynomial_minimum_recovers_vertex():
     argmin, val = polynomial_minimum(xs, ys, degree=2)
     assert argmin == pytest.approx(1.7, abs=0.01)
     assert val == pytest.approx(0.3, abs=0.01)
-
-
-def test_with_seed_returns_new_config():
-    cfg = _quick_cfg()
-    other = with_seed(cfg, 99)
-    assert other.seed == 99
-    assert other.t_f == cfg.t_f
-    assert cfg.seed == 0
