@@ -27,13 +27,7 @@ from .encoding import (  # noqa: F401
     solution_state,
     zeno_g,
 )
-from .dynamics import (  # noqa: F401
-    MeasurementConfig,
-    average_map,
-    kraus_measure,
-    lindblad_step,
-    sme_step,
-)
+from .dynamics import average_map, kraus_measure, lindblad_step, sme_step  # noqa: F401
 from .herald import FilterConfig, FilterState, detect_failure  # noqa: F401
 from .solver import (  # noqa: F401
     RunConfig,

@@ -173,7 +173,7 @@ def _best_solution_fidelity(rho: np.ndarray, f: CnfFormula, theta: float) -> flo
     return max(fidelity_pure(rho, solution_state(f, s, theta)) for s in sols.assignments)
 
 
-def _exp_fidelity_contour(spec: dict, outdir: Path, jobs: int) -> list[str]:
+def _exp_fidelity_contour(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
     f = _load_formula(spec.get("cnf", "builtin:unique2"))
     tau = spec.get("tau", 1.0)
     rows = []
@@ -187,13 +187,12 @@ def _exp_fidelity_contour(spec: dict, outdir: Path, jobs: int) -> list[str]:
                 [dt_over_tau, tf_over_tau,
                  _best_solution_fidelity(rho, f, math.pi / 2.0)]
             )
-    name = spec.get("name", "fidelity_contour")
     _write_csv(outdir / f"{name}.csv",
                ["dt_over_tau", "tf_over_tau", "fidelity"], rows)
     return [f"{name}.csv"]
 
 
-def _exp_gamma_scan(spec: dict, outdir: Path, jobs: int) -> list[str]:
+def _exp_gamma_scan(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
     f = _load_formula(spec.get("cnf", "builtin:unique2"))
     tau = spec.get("tau", 1.0)
     dt = spec.get("dt", 0.01) * tau
@@ -209,7 +208,6 @@ def _exp_gamma_scan(spec: dict, outdir: Path, jobs: int) -> list[str]:
             [gamma_tf, purity(rho), conc,
              _best_solution_fidelity(rho, f, math.pi / 2.0)] + zs
         )
-    name = spec.get("name", "gamma_scan")
     header = ["gamma_tf", "purity", "concurrence", "fidelity"] + [
         f"z{j}" for j in range(1, n + 1)
     ]
@@ -230,7 +228,7 @@ def _sweep_config(spec: dict, t_f: float, mode: str) -> RunConfig:
     )
 
 
-def _exp_phase_transition(spec: dict, outdir: Path, jobs: int) -> list[str]:
+def _exp_phase_transition(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
     rows = []
     for mode in spec.get("modes", ["average"]):
         for t_f in spec["tf_list"]:
@@ -250,7 +248,6 @@ def _exp_phase_transition(spec: dict, outdir: Path, jobs: int) -> list[str]:
                     [row["n"], row["k"], row["alpha"], row["t_f"], row["mode"],
                      row["num_instances"], row["p_succ"]]
                 )
-    name = spec.get("name", "phase_transition")
     _write_csv(
         outdir / f"{name}.csv",
         ["n", "k", "alpha", "t_f", "mode", "num_instances", "p_succ"],
@@ -273,7 +270,7 @@ def _instance_p_s(f: CnfFormula, cfg: RunConfig,
     return total / trajectories
 
 
-def _exp_tts_scaling(spec: dict, outdir: Path, jobs: int) -> list[str]:
+def _exp_tts_scaling(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
     mode = spec.get("mode", "average")
     rows = []
     points = []
@@ -291,7 +288,6 @@ def _exp_tts_scaling(spec: dict, outdir: Path, jobs: int) -> list[str]:
                                cfg.t_f, cfg.dt_m)
         rows.append([n, mode, cfg.t_f, mean_ps, tts, tts_99(mean_ps, cfg.t_f)])
         points.append((n, tts))
-    name = spec.get("name", "tts_scaling")
     _write_csv(
         outdir / f"{name}.csv",
         ["n", "mode", "t_f", "p_s", "tts", "tts_99"],
@@ -309,7 +305,7 @@ def _exp_tts_scaling(spec: dict, outdir: Path, jobs: int) -> list[str]:
     return [f"{name}.csv", f"{name}_fit.json"]
 
 
-def _exp_tts_vs_tf(spec: dict, outdir: Path, jobs: int) -> list[str]:
+def _exp_tts_vs_tf(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
     mode = spec.get("mode", "average")
     rng = np.random.default_rng(spec["seed"])
     if "cnf" in spec:
@@ -332,13 +328,12 @@ def _exp_tts_vs_tf(spec: dict, outdir: Path, jobs: int) -> list[str]:
              tts_with_readout(mean_ps, spec.get("p_star", 0.99), cfg.t_f, cfg.dt_m),
              tts_99(mean_ps, cfg.t_f)]
         )
-    name = spec.get("name", "tts_vs_tf")
     _write_csv(outdir / f"{name}.csv",
                ["tf_over_tau", "mode", "p_s", "tts", "tts_99"], rows)
     return [f"{name}.csv"]
 
 
-def _exp_single_run_trace(spec: dict, outdir: Path, jobs: int) -> list[str]:
+def _exp_single_run_trace(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
     f = _load_formula(spec.get("cnf", "builtin:unique2"))
     tau = spec.get("tau", 1.0)
     cfg = RunConfig(
@@ -368,7 +363,6 @@ def _exp_single_run_trace(spec: dict, outdir: Path, jobs: int) -> list[str]:
         + [f"r{i}" for i in range(1, m + 1)]
         + [f"rbar{i}" for i in range(1, m + 1)]
     )
-    name = spec.get("name", "single_run_trace")
     _write_csv(outdir / f"{name}.csv", header, rows)
     return [f"{name}.csv"]
 
@@ -411,8 +405,8 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
     for key in _LIST_KEYS:
         if key in spec and not isinstance(spec[key], list):
             raise ValueError(f"{kind} spec key {key!r} must be a JSON array")
-    outputs = EXPERIMENTS[kind](_Spec(spec), outdir, jobs)
-    name = spec.get("name", kind.replace("-", "_"))
+    name = spec.get("name", kind.replace("-", "_").lower())
+    outputs = EXPERIMENTS[kind](_Spec(spec), outdir, name, jobs)
     _write_manifest(outdir / f"{name}_manifest.json", spec, outputs)
     return outputs
 

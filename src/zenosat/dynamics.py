@@ -4,36 +4,30 @@ Euler-Maruyama stochastic step with self-consistent readout generation.
 
 All kernels take observable matrices (X with X^2 = 1) rather than clause
 objects, so callers control how and when operators are rebuilt as theta
-moves. Readout samples carry units of tau^(-1/2).
+moves, followed by the measurement time tau and the step dt. Readout samples
+carry units of tau^(-1/2).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """Characteristic measurement time tau and step duration dt."""
-
-    tau: float
-    dt: float
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-
-    @property
-    def beta(self) -> float:
-        """Coherence retained per step, e^(-dt/2tau)."""
-        return math.exp(-self.dt / (2.0 * self.tau))
+def _check_times(tau: float, dt: float, first_order: bool = False) -> None:
+    """Refuse non-positive tau or dt; warn when a first-order step is coarse."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if first_order and dt / tau > 0.1:
+        warnings.warn(
+            f"dt/tau = {dt / tau:.3g} > 0.1; first-order stepping is inaccurate",
+            stacklevel=3,
+        )
 
 
 def _renormalize(rho: np.ndarray) -> np.ndarray:
@@ -48,45 +42,53 @@ def _hermitize(rho: np.ndarray) -> np.ndarray:
 def kraus_measure(
     rho: np.ndarray,
     x: np.ndarray,
-    cfg: MeasurementConfig,
+    tau: float,
+    dt: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """One generalized measurement of an observable x with x^2 = 1.
 
     The readout r follows the exact two-Gaussian mixture with component
-    weights Tr(P+- rho), means +-1/sqrt(tau) and variance 1/dt; the state
-    update applies the Kraus operator for that r and renormalizes. Sampling
-    draws the branch then the Gaussian, which reproduces the mixture exactly.
+    weights Tr(P+- rho) = (1 +- <x>)/2, means +-1/sqrt(tau) and variance 1/dt;
+    the state update applies the Kraus operator for that r and renormalizes.
+    Sampling draws the branch then the Gaussian, which reproduces the mixture
+    exactly.
     """
-    d = rho.shape[-1]
-    eye = np.eye(d, dtype=rho.dtype)
-    p_plus = 0.5 * (eye + x)
-    w_plus = float(np.real(np.einsum("ij,ji->", p_plus, rho)))
+    _check_times(tau, dt)
+    w_plus = 0.5 * (1.0 + float(np.vdot(x, rho).real))
     w_plus = min(max(w_plus, 0.0), 1.0)
-    mean = 1.0 / math.sqrt(cfg.tau)
+    mean = 1.0 / math.sqrt(tau)
     if rng.random() >= w_plus:
         mean = -mean
-    r = rng.normal(mean, 1.0 / math.sqrt(cfg.dt))
-    a_plus = math.exp(-cfg.dt / 4.0 * (r - 1.0 / math.sqrt(cfg.tau)) ** 2)
-    a_minus = math.exp(-cfg.dt / 4.0 * (r + 1.0 / math.sqrt(cfg.tau)) ** 2)
-    # M_r = a+ P+ + a- P- up to a constant that cancels in normalization
-    m_op = (0.5 * (a_plus + a_minus)) * eye + (0.5 * (a_plus - a_minus)) * x
+    r = rng.normal(mean, 1.0 / math.sqrt(dt))
+    a_plus = math.exp(-dt / 4.0 * (r - 1.0 / math.sqrt(tau)) ** 2)
+    a_minus = math.exp(-dt / 4.0 * (r + 1.0 / math.sqrt(tau)) ** 2)
+    # M_r = a+ P+ + a- P- = (a+ + a-)/2 + ((a+ - a-)/2) x, up to a constant
+    # that cancels in normalization
+    m_op = (0.5 * (a_plus - a_minus)) * x
+    m_op.reshape(-1)[:: x.shape[-1] + 1] += 0.5 * (a_plus + a_minus)
     post = m_op @ rho @ m_op.conj().T
     return _renormalize(post), r
 
 
-def average_map(rho: np.ndarray, x: np.ndarray, cfg: MeasurementConfig) -> np.ndarray:
-    """Readout-averaged update rho' = ((1+beta)/2) rho + ((1-beta)/2) x rho x."""
-    beta = cfg.beta
+def average_map(rho: np.ndarray, x: np.ndarray, tau: float, dt: float) -> np.ndarray:
+    """Readout-averaged update rho' = ((1+beta)/2) rho + ((1-beta)/2) x rho x,
+    with beta = e^(-dt/2tau) the coherence retained per step."""
+    _check_times(tau, dt)
+    beta = math.exp(-dt / (2.0 * tau))
     return 0.5 * (1.0 + beta) * rho + 0.5 * (1.0 - beta) * (x @ rho @ x)
 
 
-def _check_dt(tau: float, dt: float) -> None:
-    if dt / tau > 0.1:
-        warnings.warn(
-            f"dt/tau = {dt / tau:.3g} > 0.1; first-order stepping is inaccurate",
-            stacklevel=3,
-        )
+def _dissipator(
+    rho: np.ndarray, observables: np.ndarray, xr: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """sum_i X_i rho X_i - m rho, given the stack X_i rho as ``xr`` when the
+    caller has formed it."""
+    # unnamed, the stacks X_i rho (if formed here) and X_i rho X_i are freed
+    # as soon as they are used, keeping the peak at three stacks
+    xrx = ((observables @ rho[..., None, :, :] if xr is None else xr)
+           @ observables).sum(axis=-3)
+    return xrx - observables.shape[0] * rho
 
 
 def lindblad_step(
@@ -97,24 +99,16 @@ def lindblad_step(
 
     observables has shape (m, d, d); rho may carry leading batch dims.
     """
-    _check_dt(tau, dt)
-    xrx = ((observables @ rho[..., None, :, :]) @ observables).sum(axis=-3)
-    m = observables.shape[0]
-    out = rho + (dt / (4.0 * tau)) * (xrx - m * rho)
-    return _renormalize(out)
+    _check_times(tau, dt, first_order=True)
+    return _renormalize(rho + (dt / (4.0 * tau)) * _dissipator(rho, observables))
 
 
 def lindblad_step_heun(
     rho: np.ndarray, observables: np.ndarray, tau: float, dt: float
 ) -> np.ndarray:
     """Heun (trapezoidal) variant of lindblad_step, for convergence checks."""
-
-    def drift(r: np.ndarray) -> np.ndarray:
-        xrx = ((observables @ r[..., None, :, :]) @ observables).sum(axis=-3)
-        return (xrx - observables.shape[0] * r) / (4.0 * tau)
-
-    k1 = drift(rho)
-    k2 = drift(rho + dt * k1)
+    k1 = _dissipator(rho, observables) / (4.0 * tau)
+    k2 = _dissipator(rho + dt * k1, observables) / (4.0 * tau)
     return _renormalize(rho + 0.5 * dt * (k1 + k2))
 
 
@@ -131,13 +125,15 @@ def sme_step(
     drho = sum_i [ (dt/4tau) (X_i rho X_i - rho)
                    + (dW_i/2sqrt(tau)) (X_i rho + rho X_i - 2<X_i> rho) ]
 
+    The noise term is contracted first: with A = sum_i dW_i X_i it is
+    (A rho + rho A - 2 (dW . <X>) rho) / 2sqrt(tau), one (d, d) array.
     Emits r_i = <X_i>/sqrt(tau) + dW_i/dt with the same dW_i used in the
     update. rho may carry leading batch dims (..., d, d); dW is then (..., m).
     Passing dw explicitly (e.g. zeros) overrides sampling. The result is
     Hermitized and trace-renormalized.
     """
-    _check_dt(tau, dt)
-    m = observables.shape[0]
+    _check_times(tau, dt, first_order=True)
+    m, d, _ = observables.shape
     batch = rho.shape[:-2]
     if dw is None:
         if rng is None:
@@ -149,12 +145,10 @@ def sme_step(
     # raw expectation outside [-1, 1], and feeding that back into the
     # nonlinear term makes the explicit scheme diverge
     expect = np.clip(np.real(np.trace(xr, axis1=-2, axis2=-1)), -1.0, 1.0)
-    xrx = (xr @ observables).sum(axis=-3)
-    drift = (dt / (4.0 * tau)) * (xrx - m * rho)
-    herald_dir = xr + np.conj(np.swapaxes(xr, -1, -2)) - 2.0 * (
-        expect[..., None, None] * rho[..., None, :, :]
-    )
-    diffusion = np.einsum("...m,...mik->...ik", dw, herald_dir) / (2.0 * sqrt_tau)
+    drift = (dt / (4.0 * tau)) * _dissipator(rho, observables, xr)
+    a = (dw @ observables.reshape(m, -1)).reshape(batch + (d, d))
+    shift = 2.0 * (dw * expect).sum(axis=-1)[..., None, None] * rho
+    diffusion = (a @ rho + rho @ a - shift) / (2.0 * sqrt_tau)
     out = _renormalize(_hermitize(rho + drift + diffusion))
     readouts = expect / sqrt_tau + dw / dt
     return out, readouts

@@ -116,8 +116,8 @@ def clause_observable(f: CnfFormula, i: int) -> ClauseObservable:
 
 # Peak of the arrays one solver step allocates, in (m, 2^n, 2^n) stacks,
 # measured with tracemalloc at n = 7, m = 28 (observables plus kernel):
-# sme_step 4.11, lindblad_step 3.00, kraus_measure or average_map 1.29.
-_PEAK_STACKS = 5
+# sme_step 3.04, lindblad_step 3.00, kraus_measure or average_map 1.29.
+_PEAK_STACKS = 4
 _IDENTITY = np.eye(2)[None]
 
 

@@ -16,13 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (
-    MeasurementConfig,
-    average_map,
-    kraus_measure,
-    lindblad_step,
-    sme_step,
-)
+from .dynamics import average_map, kraus_measure, lindblad_step, sme_step
 from .encoding import ClauseSet, Schedule
 from .herald import FilterConfig, FilterState, detect_failure
 from .qlinalg import local_z, plus_density, purity
@@ -147,29 +141,26 @@ class _Recorder:
         return {key: np.asarray(val) for key, val in self.data.items()}
 
 
-# Kernels apply every clause for one dt and return (rho, readouts or None).
-# They look the dynamics functions up at call time, so patches of these names
-# in zenosat.solver (tracing, profiling) reach every call.
+# Kernels take (rho, xs, tau, dt, rng), apply every clause for one dt and
+# return (rho, readouts or None); sme_step already has that form. They are
+# looked up in zenosat.solver when a run starts or at call time, so patches
+# of the dynamics names here (tracing, profiling) reach every call.
 
 
-def _lindblad(rho, xs, mc, rng):
-    return lindblad_step(rho, xs, mc.tau, mc.dt), None
+def _lindblad(rho, xs, tau, dt, rng):
+    return lindblad_step(rho, xs, tau, dt), None
 
 
-def _average_maps(rho, xs, mc, rng):
+def _average_maps(rho, xs, tau, dt, rng):
     for x in xs:
-        rho = average_map(rho, x, mc)
+        rho = average_map(rho, x, tau, dt)
     return rho, None
 
 
-def _sme(rho, xs, mc, rng):
-    return sme_step(rho, xs, mc.tau, mc.dt, rng)
-
-
-def _kraus_maps(rho, xs, mc, rng):
+def _kraus_maps(rho, xs, tau, dt, rng):
     readouts = np.empty(len(xs))
     for i, x in enumerate(xs):
-        rho, readouts[i] = kraus_measure(rho, x, mc, rng)
+        rho, readouts[i] = kraus_measure(rho, x, tau, dt, rng)
     return rho, readouts
 
 
@@ -191,10 +182,9 @@ def _evolve(
     """
     cs = ClauseSet(f)
     rho = plus_density(f.num_vars)
-    mc = MeasurementConfig(tau=cfg.tau, dt=cfg.dt)
     sampled = rng is not None
     if sampled:
-        kernel = _sme if cfg.continuum else _kraus_maps
+        kernel = sme_step if cfg.continuum else _kraus_maps
         mode, keys = "heralded-single", ("purity", "z", "r", "rbar")
         fs = FilterState(cfg.filter_config(horizon), (cs.m,))
     else:
@@ -205,7 +195,7 @@ def _evolve(
     for step in range(1, steps + 1):
         t = step * cfg.dt
         theta = cfg.schedule.theta(t / horizon)
-        rho, readouts = kernel(rho, cs.observables(theta), mc, rng)
+        rho, readouts = kernel(rho, cs.observables(theta), cfg.tau, cfg.dt, rng)
         if sampled:
             fs.update(readouts)
         if rec.want(step):

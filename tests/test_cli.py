@@ -4,6 +4,10 @@ exit codes, CSV/manifest outputs, and deterministic replays.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,20 @@ def test_gen_writes_instances(tmp_path, capsys):
         f = parse_dimacs(path.read_text())
         assert f.num_vars == 5 and f.k == 3 and f.num_clauses == 10
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zenosat", "gen", "--n", "3", "--alpha", "1.0",
+         "--k", "2", "--seed", "0", "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert parse_dimacs((tmp_path / "inst_0001.cnf").read_text()).num_vars == 3
 
 
 def test_gen_unique_instances(tmp_path, capsys):
@@ -231,7 +249,7 @@ def test_experiment_tts_scaling(tmp_path):
 
 
 def test_experiment_tts_vs_tf(tmp_path):
-    spec = {
+    named = {
         "kind": "tts-vs-Tf",
         "name": "sweep",
         "cnf": "builtin:unique2",
@@ -240,13 +258,18 @@ def test_experiment_tts_vs_tf(tmp_path):
         "dtm": 50.0,
         "seed": 4,
     }
-    outputs = run_experiment_spec(spec, tmp_path)
-    assert outputs == ["sweep.csv"]
-    rows = read_csv(tmp_path / "sweep.csv")
-    assert rows[0] == ["tf_over_tau", "mode", "p_s", "tts", "tts_99"]
-    assert len(rows) == 3
-    # longer evolution raises the success probability on the easy problem
-    assert float(rows[2][2]) > float(rows[1][2])
+    unnamed = {key: val for key, val in named.items() if key != "name"}
+    # an unnamed spec names its CSV and manifest alike, after the kind
+    for spec, name in ((named, "sweep"), (unnamed, "tts_vs_tf")):
+        outdir = tmp_path / name
+        outputs = run_experiment_spec(spec, outdir)
+        assert outputs == [f"{name}.csv"]
+        assert (outdir / f"{name}_manifest.json").is_file()
+        rows = read_csv(outdir / f"{name}.csv")
+        assert rows[0] == ["tf_over_tau", "mode", "p_s", "tts", "tts_99"]
+        assert len(rows) == 3
+        # longer evolution raises the success probability on the easy problem
+        assert float(rows[2][2]) > float(rows[1][2])
 
 
 def test_experiment_single_run_trace(tmp_path):

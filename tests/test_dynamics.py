@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from zenosat.dynamics import (
-    MeasurementConfig,
     average_map,
     kraus_measure,
     lindblad_step,
@@ -30,30 +29,42 @@ def random_density(dim, seed):
     return rho / np.trace(rho)
 
 
-def test_measurement_config_validation_and_beta():
-    cfg = MeasurementConfig(tau=2.0, dt=0.5)
-    assert cfg.beta == pytest.approx(math.exp(-0.125))
-    with pytest.raises(ValueError):
-        MeasurementConfig(tau=0.0, dt=0.1)
-    with pytest.raises(ValueError):
-        MeasurementConfig(tau=1.0, dt=-0.1)
+KERNEL_CALLS = {
+    "kraus_measure": lambda tau, dt: kraus_measure(
+        plus_density(2), X_OBS[0], tau, dt, np.random.default_rng(0)
+    ),
+    "average_map": lambda tau, dt: average_map(plus_density(2), X_OBS[0], tau, dt),
+    "lindblad_step": lambda tau, dt: lindblad_step(plus_density(2), X_OBS, tau, dt),
+    "sme_step": lambda tau, dt: sme_step(
+        plus_density(2), X_OBS, tau, dt, np.random.default_rng(0)
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_CALLS))
+def test_kernels_refuse_nonpositive_tau_and_dt(kernel):
+    call = KERNEL_CALLS[kernel]
+    with pytest.raises(ValueError, match="tau"):
+        call(0.0, 0.1)
+    with pytest.raises(ValueError, match="dt"):
+        call(1.0, -0.1)
+    call(1.0, 0.01)
 
 
 # ---------------------------------------------------------------- kraus
 
 
 def test_kraus_preserves_density_invariants():
-    cfg = MeasurementConfig(tau=1.0, dt=0.3)
     rng = np.random.default_rng(0)
     rho = plus_density(2)
     for _ in range(50):
-        rho, r = kraus_measure(rho, X_OBS[0], cfg, rng)
+        rho, r = kraus_measure(rho, X_OBS[0], 1.0, 0.3, rng)
         validate_density(rho)
         assert np.isfinite(r)
 
 
 def test_kraus_fixes_eigenstates_and_readout_moments():
-    cfg = MeasurementConfig(tau=1.0, dt=0.5)
+    dt = 0.5
     x = X_OBS[1]
     vals, vecs = np.linalg.eigh(x)
     plus_vec = vecs[:, np.argmax(vals)]
@@ -61,13 +72,13 @@ def test_kraus_fixes_eigenstates_and_readout_moments():
     rng = np.random.default_rng(1)
     rs = []
     for _ in range(4000):
-        out, r = kraus_measure(rho_plus, x, cfg, rng)
+        out, r = kraus_measure(rho_plus, x, 1.0, dt, rng)
         assert trace_distance(out, rho_plus) < 1e-12
         rs.append(r)
     rs = np.asarray(rs)
     # mean +1/sqrt(tau), variance 1/dt (sampling error ~ 3 sigma)
-    assert abs(rs.mean() - 1.0) < 3.0 / math.sqrt(cfg.dt * len(rs))
-    assert abs(rs.var() - 1.0 / cfg.dt) < 0.15 / cfg.dt
+    assert abs(rs.mean() - 1.0) < 3.0 / math.sqrt(dt * len(rs))
+    assert abs(rs.var() - 1.0 / dt) < 0.15 / dt
 
 
 def test_measurement_operators_resolve_identity():
@@ -82,33 +93,32 @@ def test_measurement_operators_resolve_identity():
 
 
 def test_monte_carlo_mean_matches_average_map():
-    cfg = MeasurementConfig(tau=1.0, dt=0.4)
     x = X_OBS[0]
     rho0 = plus_density(2)
     rng = np.random.default_rng(7)
     acc = np.zeros_like(rho0)
     trials = 6000
     for _ in range(trials):
-        out, _ = kraus_measure(rho0, x, cfg, rng)
+        out, _ = kraus_measure(rho0, x, 1.0, 0.4, rng)
         acc += out
     acc /= trials
-    expected = average_map(rho0, x, cfg)
+    expected = average_map(rho0, x, 1.0, 0.4)
     assert trace_distance(acc, expected) < 0.02
 
 
 def test_average_map_form_and_fixed_points():
-    cfg = MeasurementConfig(tau=1.0, dt=0.7)
+    tau, dt = 2.0, 0.7
     x = X_OBS[2]
     rho = random_density(4, 3)
-    out = average_map(rho, x, cfg)
-    beta = cfg.beta
+    out = average_map(rho, x, tau, dt)
+    beta = math.exp(-dt / (2.0 * tau))
     assert np.allclose(out, 0.5 * (1 + beta) * rho + 0.5 * (1 - beta) * (x @ rho @ x))
     validate_density(out)
     # eigenprojectors of x are invariant
     vals, vecs = np.linalg.eigh(x)
     v = vecs[:, 0]
     p = np.outer(v, v)
-    assert np.allclose(average_map(p, x, cfg), p)
+    assert np.allclose(average_map(p, x, tau, dt), p)
 
 
 # ---------------------------------------------------------------- lindblad
@@ -135,10 +145,9 @@ def test_lindblad_matches_sequential_maps_to_second_order():
     rho0 = random_density(4, 11)
     errs = []
     for dt in (0.02, 0.01):
-        cfg = MeasurementConfig(tau=1.0, dt=dt)
         seq = rho0.copy()
         for x in X_OBS:
-            seq = average_map(seq, x, cfg)
+            seq = average_map(seq, x, 1.0, dt)
         sim = lindblad_step(rho0, X_OBS, tau=1.0, dt=dt)
         errs.append(trace_distance(seq, sim))
     assert errs[0] < 5e-4
@@ -201,11 +210,22 @@ def test_sme_batched_matches_single_given_same_noise():
     rhos = np.stack([random_density(4, s) for s in range(4)])
     rng = np.random.default_rng(2)
     dw = rng.normal(0.0, 0.1, size=(4, 3))
-    out, readouts = sme_step(rhos, X_OBS, tau=1.0, dt=0.01, dw=dw)
+    tau, dt = 2.0, 0.01
+    out, readouts = sme_step(rhos, X_OBS, tau=tau, dt=dt, dw=dw)
     for i in range(4):
-        single, r_single = sme_step(rhos[i], X_OBS, tau=1.0, dt=0.01, dw=dw[i])
+        single, r_single = sme_step(rhos[i], X_OBS, tau=tau, dt=dt, dw=dw[i])
         assert np.allclose(out[i], single)
         assert np.allclose(readouts[i], r_single)
+        # the per-clause Euler-Maruyama expression, drift and diffusion
+        rho = rhos[i]
+        step = rho.copy()
+        for x, w in zip(X_OBS, dw[i]):
+            e = np.trace(x @ rho).real
+            step += dt / (4.0 * tau) * (x @ rho @ x - rho)
+            step += w * (x @ rho + rho @ x - 2.0 * e * rho) / (2.0 * math.sqrt(tau))
+        step = 0.5 * (step + step.conj().T)
+        step /= np.trace(step).real
+        assert np.max(np.abs(out[i] - step)) < 1e-13
 
 
 def test_sme_ensemble_mean_tracks_deterministic_step():

@@ -3,13 +3,14 @@ and observables, schedules, solution states, and the co-rotating frame.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenosat import encoding
+from zenosat import encoding, solver
 from zenosat.encoding import (
     ClauseSet,
     Schedule,
@@ -22,7 +23,7 @@ from zenosat.encoding import (
     violating_state,
     zeno_g,
 )
-from zenosat.qlinalg import kron_all, plus_state
+from zenosat.qlinalg import kron_all, plus_density, plus_state
 from zenosat.satcore import (
     SatError,
     TWO_SAT_TWO_SOLUTIONS,
@@ -165,6 +166,30 @@ def test_clause_set_refuses_when_a_step_exceeds_memory(monkeypatch):
         ClauseSet(TWO_SAT_UNIQUE)
     memory["SC_PHYS_PAGES"] = 10 * stack
     ClauseSet(TWO_SAT_UNIQUE)
+
+
+def test_refusal_constant_follows_measured_step_peak():
+    # the refusal counts _PEAK_STACKS stacks per step: every solver kernel,
+    # with the observables it is given, must peak below that, and the worst
+    # within one stack of it
+    f = random_instance(7, 4.0, 3, np.random.default_rng(0))
+    cs = ClauseSet(f)
+    assert cs.m == 28
+    stack = 8 * cs.m * cs.dim**2
+    rho = plus_density(f.num_vars)
+    peaks = {}
+    for name in ("_lindblad", "_average_maps", "_kraus_maps", "sme_step"):
+        kernel = getattr(solver, name)
+        tracemalloc.start()
+        try:
+            kernel(rho, cs.observables(0.7), 1.0, 0.01, np.random.default_rng(1))
+            peaks[name] = tracemalloc.get_traced_memory()[1] / stack
+        finally:
+            tracemalloc.stop()
+    assert all(peak < encoding._PEAK_STACKS for peak in peaks.values()), peaks
+    assert max(peaks.values()) > encoding._PEAK_STACKS - 1, peaks
+    # the noise term is contracted before any stack is formed
+    assert peaks["sme_step"] <= peaks["_lindblad"] + 0.1, peaks
 
 
 # ---------------------------------------------------------------- solutions
