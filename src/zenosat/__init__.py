@@ -17,10 +17,8 @@ from .satcore import (  # noqa: F401
     write_dimacs,
 )
 from .encoding import (  # noqa: F401
-    ClauseObservable,
     ClauseSet,
     Schedule,
-    clause_observable,
     encoded_state,
     q_frame,
     ry,

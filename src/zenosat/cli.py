@@ -261,12 +261,12 @@ def _instance_p_s(f: CnfFormula, cfg: RunConfig,
     """Mean exact readout success probability over evolved final states."""
     sols = enumerate_solutions(f)
     if cfg.mode == "average":
-        rho = run_average(f, cfg).final_rho
-        return success_probability(rho, f, cfg.tau, cfg.dt_m, sols)
+        state = run_average(f, cfg).final_state
+        return success_probability(state, f, cfg.tau, cfg.dt_m, sols)
     total = 0.0
     for _ in range(trajectories):
         out = run_heralded_restart(f, cfg, rng)
-        total += success_probability(out.final_rho, f, cfg.tau, cfg.dt_m, sols)
+        total += success_probability(out.final_state, f, cfg.tau, cfg.dt_m, sols)
     return total / trajectories
 
 

@@ -1,11 +1,14 @@
-"""State-evolution kernels: discrete Kraus measurement with sampled readout,
-the averaged (dephasing) map, a first-order Lindblad step, and the
-Euler-Maruyama stochastic step with self-consistent readout generation.
+"""State-evolution kernels: discrete Kraus measurement of a pure state with
+sampled readout, the averaged (dephasing) map, a first-order Lindblad step,
+and the Euler-Maruyama stochastic step with self-consistent readout
+generation.
 
-All kernels take observable matrices (X with X^2 = 1) rather than clause
-objects, so callers control how and when operators are rebuilt as theta
-moves, followed by the measurement time tau and the step dt. Readout samples
-carry units of tau^(-1/2).
+All kernels take clause operators rather than clause objects, so callers
+control how and when operators are rebuilt as theta moves: observable
+matrices (X with X^2 = 1) acting on a density matrix, or for the Kraus
+measurement a clause's violating vector acting on a gathered state vector.
+They are followed by the measurement time tau and the step dt. Readout
+samples carry units of tau^(-1/2).
 """
 
 from __future__ import annotations
@@ -40,35 +43,36 @@ def _hermitize(rho: np.ndarray) -> np.ndarray:
 
 
 def kraus_measure(
-    rho: np.ndarray,
-    x: np.ndarray,
+    block: np.ndarray,
+    v: np.ndarray,
     tau: float,
     dt: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
-    """One generalized measurement of an observable x with x^2 = 1.
+    """One generalized measurement of a clause on a pure state.
 
-    The readout r follows the exact two-Gaussian mixture with component
-    weights Tr(P+- rho) = (1 +- <x>)/2, means +-1/sqrt(tau) and variance 1/dt;
-    the state update applies the Kraus operator for that r and renormalizes.
-    Sampling draws the branch then the Gaussian, which reproduces the mixture
-    exactly.
+    ``block`` is the state vector gathered so that its rows run over the
+    clause's k qubits and ``v`` is the clause's violating vector there, so the
+    clause projector acts as P psi = v (v^T block). The readout r follows the
+    exact two-Gaussian mixture with component weights 1 - <P> and <P>, means
+    +-1/sqrt(tau) and variance 1/dt; sampling draws the branch then the
+    Gaussian, which reproduces the mixture exactly. The update applies the
+    Kraus operator M_r = a+ (1 - P) + a- P for that r and renormalizes.
+    Returns the new block and r.
     """
     _check_times(tau, dt)
-    w_plus = 0.5 * (1.0 + float(np.vdot(x, rho).real))
-    w_plus = min(max(w_plus, 0.0), 1.0)
+    amp = v @ block
+    w_plus = min(max(1.0 - float(np.vdot(amp, amp).real), 0.0), 1.0)
     mean = 1.0 / math.sqrt(tau)
     if rng.random() >= w_plus:
         mean = -mean
     r = rng.normal(mean, 1.0 / math.sqrt(dt))
     a_plus = math.exp(-dt / 4.0 * (r - 1.0 / math.sqrt(tau)) ** 2)
     a_minus = math.exp(-dt / 4.0 * (r + 1.0 / math.sqrt(tau)) ** 2)
-    # M_r = a+ P+ + a- P- = (a+ + a-)/2 + ((a+ - a-)/2) x, up to a constant
-    # that cancels in normalization
-    m_op = (0.5 * (a_plus - a_minus)) * x
-    m_op.reshape(-1)[:: x.shape[-1] + 1] += 0.5 * (a_plus + a_minus)
-    post = m_op @ rho @ m_op.conj().T
-    return _renormalize(post), r
+    post = np.outer(v, (a_minus - a_plus) * amp)
+    post += a_plus * block
+    post /= math.sqrt(np.vdot(post, post).real)
+    return post, r
 
 
 def average_map(rho: np.ndarray, x: np.ndarray, tau: float, dt: float) -> np.ndarray:
@@ -101,15 +105,6 @@ def lindblad_step(
     """
     _check_times(tau, dt, first_order=True)
     return _renormalize(rho + (dt / (4.0 * tau)) * _dissipator(rho, observables))
-
-
-def lindblad_step_heun(
-    rho: np.ndarray, observables: np.ndarray, tau: float, dt: float
-) -> np.ndarray:
-    """Heun (trapezoidal) variant of lindblad_step, for convergence checks."""
-    k1 = _dissipator(rho, observables) / (4.0 * tau)
-    k2 = _dissipator(rho + dt * k1, observables) / (4.0 * tau)
-    return _renormalize(rho + 0.5 * dt * (k1 + k2))
 
 
 def sme_step(

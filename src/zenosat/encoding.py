@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .qlinalg import SIGMA_Y, embed_on_qubits, kron_all
+from .qlinalg import kron_all
 from .satcore import Assignment, CnfFormula, SatError, evaluate
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -80,72 +81,67 @@ class Schedule:
         return float(np.clip(np.interp(u, us, ths), 0.0, math.pi / 2.0))
 
 
-@dataclass(frozen=True)
-class ClauseObservable:
-    """One clause's theta-parameterized projector P_i(theta) and observable
-    X_i(theta) = 1 - 2 P_i(theta) on the full n-qubit register.
-    """
-
-    index: int
-    num_qubits: int
-    targets: tuple[int, ...]
-    negations: tuple[bool, ...]
-
-    def local_vector(self, theta: float) -> np.ndarray:
-        """The violating product state on the clause's own qubits."""
-        return kron_all([violating_state(theta, neg) for neg in self.negations])
-
-    def projector(self, theta: float) -> np.ndarray:
-        v = self.local_vector(theta)
-        return embed_on_qubits(np.outer(v, v), self.targets, self.num_qubits)
-
-    def observable(self, theta: float) -> np.ndarray:
-        return np.eye(1 << self.num_qubits) - 2.0 * self.projector(theta)
-
-
-def clause_observable(f: CnfFormula, i: int) -> ClauseObservable:
-    """Build the observable for clause i (0-based)."""
-    cl = f.clauses[i]
-    return ClauseObservable(
-        index=i,
-        num_qubits=f.num_vars,
-        targets=tuple(lit.variable for lit in cl),
-        negations=tuple(lit.negated for lit in cl),
-    )
-
-
-# Peak of the arrays one solver step allocates, in (m, 2^n, 2^n) stacks,
+# Peak of the arrays one dense solver step allocates, in (m, 2^n, 2^n) stacks,
 # measured with tracemalloc at n = 7, m = 28 (observables plus kernel):
-# sme_step 3.04, lindblad_step 3.00, kraus_measure or average_map 1.29.
+# sme_step 3.04, lindblad_step 3.00, average_map 1.29.
 _PEAK_STACKS = 4
+# Peak of a pure Kraus step, psi included and its index tables not, in
+# 2^n-vectors of float64, measured the same way: 5.36 at n = 12, m = 52 and
+# 4.28 at n = 14, m = 60 (psi, its gathered block, the update and one
+# temporary; small arrays add at lower n).
+_PEAK_VECTORS = 6
 _IDENTITY = np.eye(2)[None]
 
 
 class ClauseSet:
-    """All clause projectors/observables of a formula, built as one stacked
-    (m, 2^n, 2^n) array per theta. A clause projector is a tensor product over
-    the qubits (qubit 1 most significant): the violating single-qubit projector
-    on each of the clause's qubits, the identity elsewhere. Raises ValueError
-    when a run's per-step arrays would not fit in physical memory.
+    """All clause operators of a formula at a given theta, in two forms.
+
+    Dense: one stacked (m, 2^n, 2^n) array of projectors or observables per
+    theta. A clause projector is a tensor product over the qubits (qubit 1
+    most significant): the violating single-qubit projector on each of the
+    clause's qubits, the identity elsewhere.
+
+    Pure: the (m, 2^k) violating vectors v_i of the clauses on their own
+    qubits, and per clause a table of basis indices that gathers a state
+    vector psi into a (2^k, 2^(n-k)) block, clause qubits first, so that the
+    clause projector acts as P_i psi = v_i (v_i^T block).
     """
 
     def __init__(self, f: CnfFormula):
         self.n = f.num_vars
         self.m = f.num_clauses
+        self.k = f.k
         self.dim = 1 << self.n
-        need = _PEAK_STACKS * 8 * self.m * self.dim**2
+        # (m, k) 0-based qubit and sign (0 positive, 1 negated) of each literal
+        self._qubits = np.array([[lit.variable - 1 for lit in cl] for cl in f.clauses])
+        self._signs = np.array([[int(lit.negated) for lit in cl] for cl in f.clauses])
+
+    def require_memory(self, pure: bool = False) -> None:
+        """Raise ValueError when a run's per-step arrays would not fit in
+        physical memory: _PEAK_STACKS dense stacks, or for a pure run the index
+        tables plus _PEAK_VECTORS state vectors."""
+        if pure:
+            need = (self.m * np.dtype(np.intp).itemsize + 8 * _PEAK_VECTORS) * self.dim
+            what = "index tables and state vectors"
+        else:
+            need = _PEAK_STACKS * 8 * self.m * self.dim**2
+            what = "dense operators per step"
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise ValueError(
                 f"{self.n} variables, {self.m} clauses need {need / 2**30:.3g} GiB of"
-                f" dense operators per step, more than {have / 2**30:.3g} GiB of"
-                " physical memory"
+                f" {what}, more than {have / 2**30:.3g} GiB of physical memory"
             )
-        # per (clause, qubit) factor: 0 identity, 1 positive literal, 2 negated
-        self._factor = np.zeros((self.m, self.n), dtype=np.intp)
-        for i, cl in enumerate(f.clauses):
-            for lit in cl:
-                self._factor[i, lit.variable - 1] = 2 if lit.negated else 1
+
+    @cached_property
+    def _factor(self) -> np.ndarray:
+        """(m, n) code per (clause, qubit) of the dense stacks: 0 identity,
+        1 positive literal, 2 negated. Built by the first dense call, which
+        refuses a register too large for memory first."""
+        self.require_memory()
+        factor = np.zeros((self.m, self.n), dtype=np.intp)
+        np.put_along_axis(factor, self._qubits, 1 + self._signs, axis=1)
+        return factor
 
     def projectors(self, theta: float) -> np.ndarray:
         """(m, 2^n, 2^n) stacked clause projectors at theta."""
@@ -166,6 +162,29 @@ class ClauseSet:
         x *= -2.0
         x.reshape(self.m, -1)[:, :: self.dim + 1] += 1.0
         return x
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """(m, 2^k, 2^(n-k)) basis indices: psi[index[i]] is psi as a block
+        whose rows run over clause i's qubits in literal order and whose
+        columns run over the other qubits in ascending order, the first of
+        each most significant."""
+        basis = np.arange(self.dim).reshape((2,) * self.n)
+        return np.stack([
+            basis.transpose([*qs, *(q for q in range(self.n) if q not in qs)])
+            .reshape(1 << self.k, -1)
+            for qs in self._qubits.tolist()
+        ])
+
+    def violating_vectors(self, theta: float) -> np.ndarray:
+        """(m, 2^k) product of each clause's violating single-qubit states,
+        in literal order, at theta."""
+        u = np.array([violating_state(theta, False), violating_state(theta, True)])
+        factors = u[self._signs]  # (m, k, 2)
+        v = factors[:, 0]
+        for j in range(1, self.k):
+            v = (v[:, :, None] * factors[:, j, None, :]).reshape(self.m, -1)
+        return v
 
 
 def solution_state(f: CnfFormula, s: Assignment, theta: float) -> np.ndarray:
@@ -190,17 +209,3 @@ def zeno_g(rho: np.ndarray, observables: np.ndarray, tau: float) -> float:
     """(1/2 tau) sum_i (1 - <X_i>^2); zero exactly on a common eigenstate."""
     e = np.real(np.einsum("mij,ji->m", observables, rho))
     return float(np.sum(1.0 - e**2) / (2.0 * tau))
-
-
-def diabatic_hamiltonian(s: Sequence[bool], theta_dot: float) -> np.ndarray:
-    """(theta_dot / 2) sum_j s_j sigma_y on qubit j, with s_j = +1 for true.
-
-    Generates the residual motion seen in the Q-frame for a finite-speed
-    schedule; used only in frame-consistency tests.
-    """
-    n = len(s)
-    h = np.zeros((1 << n, 1 << n), dtype=complex)
-    for j, b in enumerate(s, start=1):
-        sign = 1.0 if b else -1.0
-        h += sign * embed_on_qubits(SIGMA_Y, [j], n)
-    return 0.5 * theta_dot * h

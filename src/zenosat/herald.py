@@ -95,39 +95,3 @@ def detect_failure(fs: FilterState) -> Optional[int]:
         raise ValueError("detect_failure expects a 1-D channel layout")
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
-
-
-def exponential_window(ages: np.ndarray, t_be: float) -> np.ndarray:
-    """Window weight W(age) = e^(-age/T_be) for age in [0, T_be], else 0."""
-    ages = np.asarray(ages, dtype=float)
-    return np.where((ages >= 0.0) & (ages <= t_be), np.exp(-ages / t_be), 0.0)
-
-
-def windowed_filter_reference(
-    samples: np.ndarray,
-    dt: float,
-    t_be: float,
-    window=exponential_window,
-    norm: Optional[float] = None,
-) -> np.ndarray:
-    """Direct quadrature of the windowed-average filter: at each time t,
-    rbar(t) = (1/(N T_be)) * integral of r(t') W(t - t') over (t - T_be, t].
-
-    With the exponential window the normalization is N = 1 - e^(-1). Used as
-    the integral-form oracle that the discrete recurrence must converge to.
-    Returns rbar evaluated just after each sample, matching FilterState
-    output alignment (samples[j] is taken at time j*dt).
-    """
-    if norm is None:
-        norm = 1.0 - math.exp(-1.0)
-    samples = np.asarray(samples, dtype=float)
-    steps = len(samples)
-    out = np.empty(steps)
-    times = np.arange(steps) * dt
-    for j in range(steps):
-        t = times[j]
-        ages = t - times[: j + 1]
-        w = window(ages, t_be)
-        w[ages >= t_be] = 0.0
-        out[j] = np.sum(samples[: j + 1] * w) * dt / (norm * t_be)
-    return out

@@ -7,11 +7,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .satcore import CnfFormula, is_satisfiable, random_instance
+from .satcore import is_satisfiable, random_instance
 from .solver import RunConfig, run_full
 
 
@@ -151,16 +151,3 @@ def fit_lambda(points: Sequence[tuple[int, float]]) -> ScalingFit:
         stderr=stderr,
         n_range=(int(ns.min()), int(ns.max())),
     )
-
-
-def polynomial_minimum(
-    xs: Sequence[float], ys: Sequence[float], degree: int = 4
-) -> tuple[float, float]:
-    """Least-squares polynomial fit; returns (argmin, min) over the x-range."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    coeffs = np.polyfit(xs, ys, degree)
-    grid = np.linspace(xs.min(), xs.max(), 2001)
-    vals = np.polyval(coeffs, grid)
-    i = int(np.argmin(vals))
-    return float(grid[i]), float(vals[i])

@@ -48,28 +48,6 @@ def plus_density(n: int) -> np.ndarray:
     return np.full((d, d), 1.0 / d)
 
 
-def embed_on_qubits(op_k: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
-    """Embed a k-qubit operator on the given (1-based) qubits of an n-qubit
-    register, acting as identity elsewhere. ``targets`` order matters: the
-    j-th tensor factor of op_k acts on qubit targets[j].
-    """
-    k = len(targets)
-    if len(set(targets)) != k:
-        raise ValueError(f"targets must be distinct, got {targets}")
-    if any(t < 1 or t > n for t in targets):
-        raise ValueError(f"targets {targets} out of range [1, {n}]")
-    if op_k.shape != (1 << k, 1 << k):
-        raise ValueError(f"operator shape {op_k.shape} does not match {k} targets")
-    rest = [q for q in range(1, n + 1) if q not in targets]
-    full = np.kron(op_k, np.eye(1 << (n - k), dtype=op_k.dtype))
-    # full's tensor axes are ordered targets-then-rest; permute into 1..n.
-    order = list(targets) + rest
-    perm = np.argsort([q - 1 for q in order])
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(tuple(perm) + tuple(p + n for p in perm))
-    return np.ascontiguousarray(t.reshape(1 << n, 1 << n))
-
-
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2)."""
     return float(np.real(np.sum(rho * rho.conj().T)))
@@ -92,22 +70,26 @@ def concurrence_2q(rho: np.ndarray) -> float:
     return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))
 
 
-def reduced_density(rho: np.ndarray, keep: int) -> np.ndarray:
-    """Partial trace down to a single (1-based) qubit."""
-    n = num_qubits(rho.shape[0])
-    if keep < 1 or keep > n:
-        raise ValueError(f"qubit {keep} out of range [1, {n}]")
-    t = rho.reshape((2,) * (2 * n))
-    axes = [q for q in range(n) if q != keep - 1]
-    for q in reversed(axes):
-        t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
-    return t
+def basis_probabilities(state: np.ndarray) -> np.ndarray:
+    """Computational-basis probabilities of a state vector (|psi|^2) or of a
+    density matrix (its real diagonal, clipped at 0)."""
+    if state.ndim == 1:
+        return np.abs(state) ** 2
+    return np.clip(np.real(np.diag(state)), 0.0, None)
 
 
-def local_z(rho: np.ndarray, j: int) -> float:
-    """Expectation of the readout axis ZHAT on qubit j."""
-    r1 = reduced_density(rho, j)
-    return float(np.real(r1[1, 1] - r1[0, 0]))
+def local_z(state: np.ndarray, j: int) -> float:
+    """Expectation of the readout axis ZHAT on qubit j of psi or rho, from the
+    basis probabilities; the other qubits are summed out last one first."""
+    probs = basis_probabilities(state)
+    n = num_qubits(probs.size)
+    if j < 1 or j > n:
+        raise ValueError(f"qubit {j} out of range [1, {n}]")
+    marginal = probs.reshape((2,) * n)
+    for q in reversed(range(n)):
+        if q != j - 1:
+            marginal = marginal.sum(axis=q)
+    return float(marginal[1] - marginal[0])
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

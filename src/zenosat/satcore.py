@@ -256,7 +256,17 @@ def random_unique_solution_instance(
     rng: np.random.Generator,
     max_attempts: int = 10**6,
 ) -> CnfFormula:
-    """Rejection-sample random instances until exactly one solution exists."""
+    """Rejection-sample random instances until exactly one solution exists.
+
+    Refused up front when the clauses cannot leave exactly one solution: each
+    excludes 2^(n-k) of the 2^n assignments, so m 2^(n-k) >= 2^n - 1 is needed.
+    """
+    m = num_clauses_for(n, alpha)
+    if k <= n and m << (n - k) < (1 << n) - 1:
+        raise SatError(
+            f"no unique-solution instance exists: {m} clauses of width {k} exclude"
+            f" at most {m << (n - k)} of the {1 << n} assignments of {n} variables"
+        )
     for _ in range(max_attempts):
         f = random_instance(n, alpha, k, rng)
         if enumerate_solutions(f).count == 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .dynamics import average_map, kraus_measure, lindblad_step, sme_step
 from .encoding import ClauseSet, Schedule
 from .herald import FilterConfig, FilterState, detect_failure
-from .qlinalg import local_z, plus_density, purity
+from .qlinalg import basis_probabilities, local_z, plus_density, plus_state, purity
 from .satcore import (
     Assignment,
     CnfFormula,
@@ -86,11 +87,19 @@ class RunOutcome:
     failed_at: Optional[float] = None
     failed_clause: Optional[int] = None
     num_attempts: int = 1
-    final_rho: Optional[np.ndarray] = None
+    final_state: Optional[np.ndarray] = None  # psi for a pure run, else rho
     readout_r: Optional[np.ndarray] = None
     candidate: Optional[Assignment] = None
     verified: Optional[bool] = None
     diagnostics: Optional[dict] = None
+
+    @property
+    def final_rho(self) -> Optional[np.ndarray]:
+        """The final density matrix: psi psi^T for a pure run, else rho."""
+        state = self.final_state
+        if state is None or state.ndim == 2:
+            return state
+        return np.outer(state, state.conj())
 
     @property
     def candidate_bits(self) -> Optional[str]:
@@ -141,10 +150,10 @@ class _Recorder:
         return {key: np.asarray(val) for key, val in self.data.items()}
 
 
-# Kernels take (rho, xs, tau, dt, rng), apply every clause for one dt and
-# return (rho, readouts or None); sme_step already has that form. They are
-# looked up in zenosat.solver when a run starts or at call time, so patches
-# of the dynamics names here (tracing, profiling) reach every call.
+# Kernels take (state, operators, tau, dt, rng), apply every clause for one dt
+# and return (state, readouts or None); sme_step already has that form. They
+# are looked up in zenosat.solver when a run starts or at call time, so
+# patches of the dynamics names here (tracing, profiling) reach every call.
 
 
 def _lindblad(rho, xs, tau, dt, rng):
@@ -157,11 +166,13 @@ def _average_maps(rho, xs, tau, dt, rng):
     return rho, None
 
 
-def _kraus_maps(rho, xs, tau, dt, rng):
-    readouts = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        rho, readouts[i] = kraus_measure(rho, x, tau, dt, rng)
-    return rho, readouts
+def _kraus_maps(psi, vs, tau, dt, rng, index):
+    """Measure each clause in turn on psi, gathered into the clause's block
+    through ``index`` and scattered back."""
+    readouts = np.empty(len(vs))
+    for i, (v, idx) in enumerate(zip(vs, index)):
+        psi[idx], readouts[i] = kraus_measure(psi[idx], v, tau, dt, rng)
+    return psi, readouts
 
 
 def _evolve(
@@ -171,39 +182,47 @@ def _evolve(
     rng: Optional[np.random.Generator],
     detect: bool,
 ) -> RunOutcome:
-    """Evolve (|+><+|)^n under the schedule compressed to ``horizon``.
+    """Evolve |+>^n under the schedule compressed to ``horizon``.
 
     A mode is a kernel plus a detection policy. With an rng the kernel samples
     readouts (Kraus measurements, or the stochastic master equation in the
     continuum regime), which are filtered per clause; with ``detect`` a
     filtered signal below threshold aborts the run with the elapsed time.
     Without an rng the evolution is readout-averaged (sequential averaged
-    maps, or the Lindblad step in the continuum regime).
+    maps, or the Lindblad step in the continuum regime). With perfect
+    detection a discrete Kraus trajectory stays pure, so it holds the state
+    vector psi and the clauses' violating vectors; every other mode holds
+    the density matrix rho and dense observable stacks.
     """
     cs = ClauseSet(f)
-    rho = plus_density(f.num_vars)
     sampled = rng is not None
+    pure = sampled and not cfg.continuum
+    cs.require_memory(pure)
+    if pure:
+        state, operators = plus_state(cs.n), cs.violating_vectors
+        kernel = partial(_kraus_maps, index=cs.index)
+    else:
+        state, operators = plus_density(cs.n), cs.observables
+        kernel = sme_step if sampled else _lindblad if cfg.continuum else _average_maps
     if sampled:
-        kernel = sme_step if cfg.continuum else _kraus_maps
         mode, keys = "heralded-single", ("purity", "z", "r", "rbar")
         fs = FilterState(cfg.filter_config(horizon), (cs.m,))
     else:
-        kernel = _lindblad if cfg.continuum else _average_maps
         mode, keys = "average", ("purity", "z")
     steps = _num_steps(horizon, cfg.dt)
     rec = _Recorder(cfg.record_every, keys)
     for step in range(1, steps + 1):
         t = step * cfg.dt
         theta = cfg.schedule.theta(t / horizon)
-        rho, readouts = kernel(rho, cs.observables(theta), cfg.tau, cfg.dt, rng)
+        state, readouts = kernel(state, operators(theta), cfg.tau, cfg.dt, rng)
         if sampled:
             fs.update(readouts)
         if rec.want(step):
             rec.push(
                 t=t,
                 theta=theta,
-                purity=purity(rho),
-                z=[local_z(rho, j) for j in range(1, f.num_vars + 1)],
+                purity=1.0 if pure else purity(state),
+                z=[local_z(state, j) for j in range(1, cs.n + 1)],
             )
             if sampled:
                 rec.push(r=readouts.copy(), rbar=fs.rbar.copy())
@@ -221,7 +240,7 @@ def _evolve(
         mode=mode,
         seed=cfg.seed,
         consumed_time=steps * cfg.dt,
-        final_rho=rho,
+        final_state=state,
         diagnostics=rec.asdict(),
     )
 
@@ -279,19 +298,19 @@ def run_heralded_restart(
 
 
 def readout(
-    rho: np.ndarray, tau: float, dt_m: float, rng: np.random.Generator
+    state: np.ndarray, tau: float, dt_m: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, Assignment]:
-    """Terminal per-qubit readout of duration dt_m.
+    """Terminal per-qubit readout of duration dt_m of psi or rho.
 
-    Samples a computational basis string from diag(rho), then per-qubit
+    Samples a computational basis string from the basis probabilities, then per-qubit
     Gaussian signals with mean z_j/sqrt(tau) and variance 1/dt_m, where
     z_j = +1 for basis bit 1 (an encoded true). The candidate assignment is
     sign(r): positive readout -> true. dt_m = 0 returns pure noise.
     """
-    d = rho.shape[0]
-    n = d.bit_length() - 1
-    probs = np.clip(np.real(np.diag(rho)), 0.0, None)
+    probs = basis_probabilities(state)
     probs = probs / probs.sum()
+    d = probs.size
+    n = d.bit_length() - 1
     basis = rng.choice(d, p=probs)
     z = np.array([1.0 if (basis >> (n - j)) & 1 else -1.0 for j in range(1, n + 1)])
     if dt_m <= 0:
@@ -303,18 +322,19 @@ def readout(
 
 
 def success_probability(
-    rho: np.ndarray,
+    state: np.ndarray,
     f: CnfFormula,
     tau: float,
     dt_m: float,
     solutions: Optional[SolutionSet] = None,
 ) -> float:
-    """Exact probability that readout of rho returns a satisfying assignment.
+    """Exact probability that readout of psi or rho returns a satisfying
+    assignment.
 
     For each solution s and basis string b the sign pattern of the readout
     matches s on a qubit with probability (1 +- erf(sqrt(dt_m/2 tau)))/2, so
 
-        P_s = 2^-n sum_b Tr(rho P_b) (1+E)^(n-h) (1-E)^h,  h = Hamming(b, s),
+        P_s = 2^-n sum_b p_b (1+E)^(n-h) (1-E)^h,  h = Hamming(b, s),
 
     summed over all oracle solutions (events disjoint once E is near 1; the
     overlap at small dt_m is quantified in tests, not assumed away).
@@ -326,7 +346,7 @@ def success_probability(
     if solutions.count == 0:
         return 0.0
     e_val = math.erf(math.sqrt(dt_m / (2.0 * tau))) if dt_m > 0 else 0.0
-    diag = np.clip(np.real(np.diag(rho)), 0.0, None)
+    diag = basis_probabilities(state)
     shifts = n - 1 - np.arange(n)
     bit_table = (np.arange(d)[:, None] >> shifts[None, :]) & 1
     total = 0.0
@@ -353,7 +373,7 @@ def run_full(
     if out.failed:
         out.verified = False
         return out
-    r, candidate = readout(out.final_rho, cfg.tau, cfg.dt_m, rng)
+    r, candidate = readout(out.final_state, cfg.tau, cfg.dt_m, rng)
     out.readout_r = r
     out.candidate = candidate
     out.verified = evaluate(f, candidate)

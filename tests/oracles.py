@@ -1,0 +1,214 @@
+"""Reference implementations the tests check zenosat against: direct, slow
+forms of what the package computes another way (dense clause operators
+embedded one clause at a time, the partial trace, the dense-rho Kraus step,
+the integral form of the readout filter, a Heun Lindblad step), plus closed
+forms that only tests use.
+"""
+
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+from zenosat.encoding import ClauseSet, violating_state
+from zenosat.qlinalg import SIGMA_Y, kron_all, num_qubits, plus_density
+from zenosat.satcore import CnfFormula, formula
+
+# formulas whose clause layout the random instances rarely or never produce
+CLAUSE_LAYOUTS = {
+    "n1-k1": formula(1, [-1]),
+    "whole-register": formula(3, [1, -2, 3], [-3, -1, 2]),
+    "n7": formula(7, [1, -4, 7], [-2, 3, -6], [5, 6, -1]),
+    "out-of-order": formula(4, [3, -1, 2], [-4, 2, -3]),
+}
+
+
+# ---------------------------------------------------------------- operators
+
+
+def embed_on_qubits(op_k: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
+    """Embed a k-qubit operator on the given (1-based) qubits of an n-qubit
+    register, acting as identity elsewhere. ``targets`` order matters: the
+    j-th tensor factor of op_k acts on qubit targets[j].
+    """
+    k = len(targets)
+    if len(set(targets)) != k:
+        raise ValueError(f"targets must be distinct, got {targets}")
+    if any(t < 1 or t > n for t in targets):
+        raise ValueError(f"targets {targets} out of range [1, {n}]")
+    if op_k.shape != (1 << k, 1 << k):
+        raise ValueError(f"operator shape {op_k.shape} does not match {k} targets")
+    rest = [q for q in range(1, n + 1) if q not in targets]
+    full = np.kron(op_k, np.eye(1 << (n - k), dtype=op_k.dtype))
+    # full's tensor axes are ordered targets-then-rest; permute into 1..n.
+    order = list(targets) + rest
+    perm = np.argsort([q - 1 for q in order])
+    t = full.reshape((2,) * (2 * n))
+    t = t.transpose(tuple(perm) + tuple(p + n for p in perm))
+    return np.ascontiguousarray(t.reshape(1 << n, 1 << n))
+
+
+def reduced_density(rho: np.ndarray, keep: int) -> np.ndarray:
+    """Partial trace down to a single (1-based) qubit."""
+    n = num_qubits(rho.shape[0])
+    if keep < 1 or keep > n:
+        raise ValueError(f"qubit {keep} out of range [1, {n}]")
+    t = rho.reshape((2,) * (2 * n))
+    axes = [q for q in range(n) if q != keep - 1]
+    for q in reversed(axes):
+        t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
+    return t
+
+
+@dataclass(frozen=True)
+class ClauseObservable:
+    """One clause's theta-parameterized projector P_i(theta) and observable
+    X_i(theta) = 1 - 2 P_i(theta) on the full n-qubit register.
+    """
+
+    num_qubits: int
+    targets: tuple[int, ...]
+    negations: tuple[bool, ...]
+
+    def local_vector(self, theta: float) -> np.ndarray:
+        """The violating product state on the clause's own qubits."""
+        return kron_all([violating_state(theta, neg) for neg in self.negations])
+
+    def projector(self, theta: float) -> np.ndarray:
+        v = self.local_vector(theta)
+        return embed_on_qubits(np.outer(v, v), self.targets, self.num_qubits)
+
+    def observable(self, theta: float) -> np.ndarray:
+        return np.eye(1 << self.num_qubits) - 2.0 * self.projector(theta)
+
+
+def clause_observable(f: CnfFormula, i: int) -> ClauseObservable:
+    """Build the observable for clause i (0-based)."""
+    cl = f.clauses[i]
+    return ClauseObservable(
+        num_qubits=f.num_vars,
+        targets=tuple(lit.variable for lit in cl),
+        negations=tuple(lit.negated for lit in cl),
+    )
+
+
+def diabatic_hamiltonian(s: Sequence[bool], theta_dot: float) -> np.ndarray:
+    """(theta_dot / 2) sum_j s_j sigma_y on qubit j, with s_j = +1 for true.
+
+    Generates the residual motion seen in the Q-frame for a finite-speed
+    schedule.
+    """
+    n = len(s)
+    h = np.zeros((1 << n, 1 << n), dtype=complex)
+    for j, b in enumerate(s, start=1):
+        sign = 1.0 if b else -1.0
+        h += sign * embed_on_qubits(SIGMA_Y, [j], n)
+    return 0.5 * theta_dot * h
+
+
+# ---------------------------------------------------------------- dynamics
+
+
+def lindblad_step_heun(
+    rho: np.ndarray, observables: np.ndarray, tau: float, dt: float
+) -> np.ndarray:
+    """Heun (trapezoidal) variant of lindblad_step, for convergence checks."""
+
+    def deriv(r):
+        return (sum(x @ r @ x for x in observables) - len(observables) * r) / (4.0 * tau)
+
+    k1 = deriv(rho)
+    k2 = deriv(rho + dt * k1)
+    out = rho + 0.5 * dt * (k1 + k2)
+    return out / np.trace(out).real
+
+
+def kraus_measure_dense(
+    rho: np.ndarray, x: np.ndarray, tau: float, dt: float, rng: np.random.Generator
+) -> tuple[np.ndarray, float]:
+    """One generalized measurement of an observable x with x^2 = 1 on a
+    density matrix: the same draws as ``dynamics.kraus_measure``, with weights
+    Tr(P+- rho) = (1 +- <x>)/2 and the update M_r rho M_r / Tr(...)."""
+    w_plus = 0.5 * (1.0 + float(np.vdot(x, rho).real))
+    w_plus = min(max(w_plus, 0.0), 1.0)
+    mean = 1.0 / math.sqrt(tau)
+    if rng.random() >= w_plus:
+        mean = -mean
+    r = rng.normal(mean, 1.0 / math.sqrt(dt))
+    a_plus = math.exp(-dt / 4.0 * (r - 1.0 / math.sqrt(tau)) ** 2)
+    a_minus = math.exp(-dt / 4.0 * (r + 1.0 / math.sqrt(tau)) ** 2)
+    # M_r = a+ P+ + a- P- = (a+ + a-)/2 + ((a+ - a-)/2) x
+    m_op = (0.5 * (a_plus - a_minus)) * x
+    m_op.reshape(-1)[:: x.shape[-1] + 1] += 0.5 * (a_plus + a_minus)
+    post = m_op @ rho @ m_op.conj().T
+    return post / np.trace(post).real, r
+
+
+def dense_heralded_run(f: CnfFormula, cfg, rng: np.random.Generator):
+    """A discrete heralded trajectory over cfg.t_f without detection, on the
+    dense density matrix. Returns the final rho and the (steps, m) readouts."""
+    cs = ClauseSet(f)
+    rho = plus_density(f.num_vars)
+    steps = max(1, round(cfg.t_f / cfg.dt))
+    readouts = np.empty((steps, cs.m))
+    for step in range(1, steps + 1):
+        theta = cfg.schedule.theta(step * cfg.dt / cfg.t_f)
+        for i, x in enumerate(cs.observables(theta)):
+            rho, readouts[step - 1, i] = kraus_measure_dense(rho, x, cfg.tau, cfg.dt, rng)
+    return rho, readouts
+
+
+# ---------------------------------------------------------------- filtering
+
+
+def exponential_window(ages: np.ndarray, t_be: float) -> np.ndarray:
+    """Window weight W(age) = e^(-age/T_be) for age in [0, T_be], else 0."""
+    ages = np.asarray(ages, dtype=float)
+    return np.where((ages >= 0.0) & (ages <= t_be), np.exp(-ages / t_be), 0.0)
+
+
+def windowed_filter_reference(
+    samples: np.ndarray,
+    dt: float,
+    t_be: float,
+    window=exponential_window,
+    norm: Optional[float] = None,
+) -> np.ndarray:
+    """Direct quadrature of the windowed-average filter: at each time t,
+    rbar(t) = (1/(N T_be)) * integral of r(t') W(t - t') over (t - T_be, t].
+
+    With the exponential window the normalization is N = 1 - e^(-1). This is
+    the integral form that the discrete recurrence must converge to. Returns
+    rbar evaluated just after each sample, matching FilterState output
+    alignment (samples[j] is taken at time j*dt).
+    """
+    if norm is None:
+        norm = 1.0 - math.exp(-1.0)
+    samples = np.asarray(samples, dtype=float)
+    steps = len(samples)
+    out = np.empty(steps)
+    times = np.arange(steps) * dt
+    for j in range(steps):
+        t = times[j]
+        ages = t - times[: j + 1]
+        w = window(ages, t_be)
+        w[ages >= t_be] = 0.0
+        out[j] = np.sum(samples[: j + 1] * w) * dt / (norm * t_be)
+    return out
+
+
+# ---------------------------------------------------------------- fitting
+
+
+def polynomial_minimum(
+    xs: Sequence[float], ys: Sequence[float], degree: int = 4
+) -> tuple[float, float]:
+    """Least-squares polynomial fit; returns (argmin, min) over the x-range."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    coeffs = np.polyfit(xs, ys, degree)
+    grid = np.linspace(xs.min(), xs.max(), 2001)
+    vals = np.polyval(coeffs, grid)
+    i = int(np.argmin(vals))
+    return float(grid[i]), float(vals[i])

@@ -2,9 +2,11 @@
 exit codes, CSV/manifest outputs, and deterministic replays.
 """
 
+import contextlib
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -20,12 +22,35 @@ from zenosat.cli import (
     main,
     run_experiment_spec,
 )
-from zenosat.satcore import enumerate_solutions, parse_dimacs
+from zenosat.satcore import (
+    SatError,
+    enumerate_solutions,
+    parse_dimacs,
+    random_unique_solution_instance,
+)
 
 
 def read_csv(path):
     with path.open() as fh:
         return list(csv.reader(fh))
+
+
+class Hung(Exception):
+    """Raised by ``deadline``; no handler of the CLI catches it."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------- solve
@@ -246,6 +271,23 @@ def test_experiment_tts_scaling(tmp_path):
     fit = json.loads((tmp_path / "scal_fit.json").read_text())
     assert set(fit) == {"lambda", "prefactor", "stderr", "n_range"}
     assert fit["lambda"] > 0
+
+
+def test_impossible_unique_solution_request_is_refused_at_once(tmp_path, capsys):
+    # n = 3, k = 3, alpha = 2: six clauses each exclude one of the eight
+    # assignments, so at least two always survive; rejection sampling would
+    # make its 10^6 attempts (minutes) before giving up
+    spec = {"kind": "tts-scaling", "n_list": [3], "alpha": 2.0, "k": 3, "tf": 1.0,
+            "seed": 1}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    with deadline(10):
+        with pytest.raises(SatError, match="no unique-solution instance"):
+            random_unique_solution_instance(3, 2.0, 3, np.random.default_rng(0))
+        code = main(["experiment", str(spec_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "no unique-solution instance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_tts_vs_tf(tmp_path):

@@ -8,18 +8,23 @@ import warnings
 import numpy as np
 import pytest
 
-from zenosat.dynamics import (
-    average_map,
-    kraus_measure,
-    lindblad_step,
-    lindblad_step_heun,
-    sme_step,
-)
+from oracles import kraus_measure_dense, lindblad_step_heun
+from zenosat.dynamics import average_map, kraus_measure, lindblad_step, sme_step
 from zenosat.encoding import ClauseSet
-from zenosat.qlinalg import plus_density, trace_distance, validate_density
+from zenosat.qlinalg import plus_density, plus_state, trace_distance, validate_density
 from zenosat.satcore import TWO_SAT_UNIQUE
 
-X_OBS = ClauseSet(TWO_SAT_UNIQUE).observables(0.8)  # (3, 4, 4) stack
+CLAUSES = ClauseSet(TWO_SAT_UNIQUE)
+X_OBS = CLAUSES.observables(0.8)  # (3, 4, 4) stack
+V_OBS = CLAUSES.violating_vectors(0.8)  # (3, 4): the same clauses, pure form
+
+
+def measure(psi, i, tau, dt, rng):
+    """kraus_measure of clause i on psi, gathered into its block and back."""
+    idx = CLAUSES.index[i]
+    out = np.empty_like(psi)
+    out[idx], r = kraus_measure(psi[idx], V_OBS[i], tau, dt, rng)
+    return out, r
 
 
 def random_density(dim, seed):
@@ -30,8 +35,8 @@ def random_density(dim, seed):
 
 
 KERNEL_CALLS = {
-    "kraus_measure": lambda tau, dt: kraus_measure(
-        plus_density(2), X_OBS[0], tau, dt, np.random.default_rng(0)
+    "kraus_measure": lambda tau, dt: measure(
+        plus_state(2), 0, tau, dt, np.random.default_rng(0)
     ),
     "average_map": lambda tau, dt: average_map(plus_density(2), X_OBS[0], tau, dt),
     "lindblad_step": lambda tau, dt: lindblad_step(plus_density(2), X_OBS, tau, dt),
@@ -56,10 +61,10 @@ def test_kernels_refuse_nonpositive_tau_and_dt(kernel):
 
 def test_kraus_preserves_density_invariants():
     rng = np.random.default_rng(0)
-    rho = plus_density(2)
+    psi = plus_state(2)
     for _ in range(50):
-        rho, r = kraus_measure(rho, X_OBS[0], 1.0, 0.3, rng)
-        validate_density(rho)
+        psi, r = measure(psi, 0, 1.0, 0.3, rng)
+        validate_density(np.outer(psi, psi))
         assert np.isfinite(r)
 
 
@@ -72,13 +77,25 @@ def test_kraus_fixes_eigenstates_and_readout_moments():
     rng = np.random.default_rng(1)
     rs = []
     for _ in range(4000):
-        out, r = kraus_measure(rho_plus, x, 1.0, dt, rng)
-        assert trace_distance(out, rho_plus) < 1e-12
+        out, r = measure(plus_vec, 1, 1.0, dt, rng)
+        assert trace_distance(np.outer(out, out), rho_plus) < 1e-12
         rs.append(r)
     rs = np.asarray(rs)
     # mean +1/sqrt(tau), variance 1/dt (sampling error ~ 3 sigma)
     assert abs(rs.mean() - 1.0) < 3.0 / math.sqrt(dt * len(rs))
     assert abs(rs.var() - 1.0 / dt) < 0.15 / dt
+
+
+def test_kraus_matches_dense_reference_step():
+    # same draws, same readouts; psi psi^T follows the dense update of rho
+    rng_pure, rng_dense = np.random.default_rng(4), np.random.default_rng(4)
+    psi, rho = plus_state(2), plus_density(2)
+    for step in range(30):
+        i = step % 3
+        psi, r = measure(psi, i, 1.0, 0.3, rng_pure)
+        rho, r_dense = kraus_measure_dense(rho, X_OBS[i], 1.0, 0.3, rng_dense)
+        assert r == r_dense
+        assert np.max(np.abs(np.outer(psi, psi) - rho)) < 1e-13
 
 
 def test_measurement_operators_resolve_identity():
@@ -99,8 +116,8 @@ def test_monte_carlo_mean_matches_average_map():
     acc = np.zeros_like(rho0)
     trials = 6000
     for _ in range(trials):
-        out, _ = kraus_measure(rho0, x, 1.0, 0.4, rng)
-        acc += out
+        out, _ = measure(plus_state(2), 0, 1.0, 0.4, rng)
+        acc += np.outer(out, out)
     acc /= trials
     expected = average_map(rho0, x, 1.0, 0.4)
     assert trace_distance(acc, expected) < 0.02

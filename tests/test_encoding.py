@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import CLAUSE_LAYOUTS, clause_observable, diabatic_hamiltonian
 from zenosat import encoding, solver
 from zenosat.encoding import (
     ClauseSet,
     Schedule,
-    clause_observable,
-    diabatic_hamiltonian,
     encoded_state,
     q_frame,
     ry,
@@ -23,13 +22,12 @@ from zenosat.encoding import (
     violating_state,
     zeno_g,
 )
-from zenosat.qlinalg import kron_all, plus_density, plus_state
+from zenosat.qlinalg import plus_density, plus_state
 from zenosat.satcore import (
     SatError,
     TWO_SAT_TWO_SOLUTIONS,
     TWO_SAT_UNIQUE,
     enumerate_solutions,
-    formula,
     random_instance,
 )
 
@@ -126,15 +124,6 @@ def test_projector_and_observable_algebra(theta):
         assert np.trace(x) == pytest.approx(2.0)  # dim - 2 * rank
 
 
-# formulas whose clause layout the random instances rarely or never produce
-CLAUSE_LAYOUTS = {
-    "n1-k1": formula(1, [-1]),
-    "whole-register": formula(3, [1, -2, 3], [-3, -1, 2]),
-    "n7": formula(7, [1, -4, 7], [-2, 3, -6], [5, 6, -1]),
-    "out-of-order": formula(4, [3, -1, 2], [-4, 2, -3]),
-}
-
-
 @pytest.mark.parametrize("case", [0, 1, 2, 3, *CLAUSE_LAYOUTS])
 def test_clause_set_matches_per_clause_reference(case):
     if isinstance(case, int):
@@ -147,13 +136,20 @@ def test_clause_set_matches_per_clause_reference(case):
         f = CLAUSE_LAYOUTS[case]
         thetas = [0.8]
     cs = ClauseSet(f)
+    psi = np.random.default_rng(99).normal(size=cs.dim)
     for theta in [0.0, *thetas, math.pi / 2]:
         ps = cs.projectors(theta)
         xs = cs.observables(theta)
+        vs = cs.violating_vectors(theta)
         for i in range(f.num_clauses):
             ref = clause_observable(f, i)
             assert np.allclose(ps[i], ref.projector(theta), atol=1e-13)
             assert np.allclose(xs[i], ref.observable(theta), atol=1e-13)
+            # the pure form: P_i psi = v_i (v_i^T block), scattered back
+            assert np.allclose(vs[i], ref.local_vector(theta), atol=1e-15)
+            p_psi = np.empty(cs.dim)
+            p_psi[cs.index[i]] = np.outer(vs[i], vs[i] @ psi[cs.index[i]])
+            assert np.allclose(p_psi, ps[i] @ psi, atol=1e-13)
 
 
 def test_clause_set_refuses_when_a_step_exceeds_memory(monkeypatch):
@@ -163,9 +159,9 @@ def test_clause_set_refuses_when_a_step_exceeds_memory(monkeypatch):
     # one (m, 2^n, 2^n) stack fits, but a step's temporaries do not
     memory["SC_PHYS_PAGES"] = 2 * stack
     with pytest.raises(ValueError, match="physical memory"):
-        ClauseSet(TWO_SAT_UNIQUE)
+        ClauseSet(TWO_SAT_UNIQUE).observables(0.0)
     memory["SC_PHYS_PAGES"] = 10 * stack
-    ClauseSet(TWO_SAT_UNIQUE)
+    ClauseSet(TWO_SAT_UNIQUE).observables(0.0)
 
 
 def test_refusal_constant_follows_measured_step_peak():
@@ -178,7 +174,7 @@ def test_refusal_constant_follows_measured_step_peak():
     stack = 8 * cs.m * cs.dim**2
     rho = plus_density(f.num_vars)
     peaks = {}
-    for name in ("_lindblad", "_average_maps", "_kraus_maps", "sme_step"):
+    for name in ("_lindblad", "_average_maps", "sme_step"):
         kernel = getattr(solver, name)
         tracemalloc.start()
         try:
@@ -190,6 +186,36 @@ def test_refusal_constant_follows_measured_step_peak():
     assert max(peaks.values()) > encoding._PEAK_STACKS - 1, peaks
     # the noise term is contracted before any stack is formed
     assert peaks["sme_step"] <= peaks["_lindblad"] + 0.1, peaks
+
+
+def test_pure_refusal_constant_follows_measured_step_peak():
+    # a pure run counts its index tables plus _PEAK_VECTORS state vectors, psi
+    # included; the Kraus step must peak below that
+    f = random_instance(12, 4.3, 3, np.random.default_rng(0))
+    cs = ClauseSet(f)
+    psi, index, vs = plus_state(f.num_vars), cs.index, cs.violating_vectors(0.7)
+    tracemalloc.start()
+    try:
+        solver._kraus_maps(psi, vs, 1.0, 0.25, np.random.default_rng(1), index=index)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * cs.dim)
+    finally:
+        tracemalloc.stop()
+    assert 1.0 + peak < encoding._PEAK_VECTORS, peak
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+
+
+def test_pure_run_needs_no_dense_memory(monkeypatch):
+    f = random_instance(12, 4.3, 3, np.random.default_rng(0))
+    cs = ClauseSet(f)
+    vectors = (np.dtype(np.intp).itemsize * cs.m + 8 * encoding._PEAK_VECTORS) * cs.dim
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": vectors}
+    monkeypatch.setattr(encoding.os, "sysconf", memory.__getitem__)
+    cs.require_memory(pure=True)
+    with pytest.raises(ValueError, match="physical memory"):
+        cs.require_memory(pure=False)
+    memory["SC_PHYS_PAGES"] = vectors - 1
+    with pytest.raises(ValueError, match="index tables and state vectors"):
+        cs.require_memory(pure=True)
 
 
 # ---------------------------------------------------------------- solutions

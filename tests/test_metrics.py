@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import polynomial_minimum
 from zenosat.metrics import (
     ScalingFit,
     _decide_instance,
@@ -14,7 +15,6 @@ from zenosat.metrics import (
     n_star,
     phase_transition_curve,
     phase_transition_point,
-    polynomial_minimum,
     tts_99,
     tts_with_readout,
     unique_bias_success,

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import embed_on_qubits, reduced_density
 from zenosat.qlinalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     ZHAT,
     concurrence_2q,
-    embed_on_qubits,
     fidelity_pure,
     kron_all,
     local_z,
@@ -21,7 +21,6 @@ from zenosat.qlinalg import (
     plus_density,
     plus_state,
     purity,
-    reduced_density,
     trace_distance,
     validate_density,
 )
@@ -165,6 +164,19 @@ def test_local_z_values():
     assert local_z(rho, 3) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         local_z(rho, 4)
+
+
+def test_local_z_matches_reduced_density_for_psi_and_rho():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(8, 8))
+    rho = a @ a.T / np.trace(a @ a.T)
+    psi = rng.normal(size=8)
+    psi /= np.linalg.norm(psi)
+    for j in (1, 2, 3):
+        r1 = reduced_density(rho, j)
+        assert local_z(rho, j) == pytest.approx(r1[1, 1] - r1[0, 0], abs=1e-15)
+        r1 = reduced_density(density(psi), j)
+        assert local_z(psi, j) == pytest.approx(r1[1, 1] - r1[0, 0], abs=1e-15)
 
 
 def test_trace_distance():

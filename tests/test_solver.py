@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import CLAUSE_LAYOUTS, dense_heralded_run
 from zenosat.encoding import Schedule, solution_state
 from zenosat.qlinalg import fidelity_pure, kron_all, plus_density, purity, trace_distance
 from zenosat.satcore import (
@@ -18,6 +19,7 @@ from zenosat.satcore import (
     TWO_SAT_UNSAT,
     enumerate_solutions,
     evaluate,
+    random_instance,
 )
 from zenosat.solver import (
     RunConfig,
@@ -216,6 +218,38 @@ def test_heralded_single_detection_can_be_disabled():
     )
     assert not out.failed
     assert out.consumed_time == pytest.approx(30.0)
+
+
+@pytest.mark.parametrize("case", ["n6", "n1-k1", "whole-register", "out-of-order"])
+def test_pure_engine_matches_dense_kraus_path(case):
+    # a discrete heralded run holds psi; the dense-rho Kraus path, given the
+    # same generator, draws the same readouts and ends in the same state
+    if case == "n6":
+        f = random_instance(6, 4.3, 3, np.random.default_rng(6))
+    else:
+        f = CLAUSE_LAYOUTS[case]
+    cfg = cfg_with(t_f=10.0, mode="heralded-single", record_every=1)
+    out = run_heralded_single(f, cfg, np.random.default_rng(5), detect=False)
+    rho, readouts = dense_heralded_run(f, cfg, np.random.default_rng(5))
+    assert out.final_state.shape == (1 << f.num_vars,)
+    assert np.array_equal(out.diagnostics["r"], readouts)
+    assert np.max(np.abs(out.final_rho - rho)) < 1e-13
+    assert np.all(out.diagnostics["purity"] == 1.0)
+    # readout statistics are read from |psi|^2 as from diag(rho)
+    assert success_probability(out.final_state, f, 1.0, 2.0) == pytest.approx(
+        success_probability(rho, f, 1.0, 2.0), abs=1e-14)
+
+
+def test_pure_run_beyond_dense_memory_completes():
+    # n = 12, m = 52: the dense stacks would need 26 GiB, the pure run a few MiB
+    f = random_instance(12, 4.3, 3, np.random.default_rng(12))
+    cfg = RunConfig(t_f=1.0, dt=0.25, dt_m=2.0, mode="heralded-single")
+    out = run_full(f, cfg, np.random.default_rng(0))
+    assert not out.failed
+    assert out.final_state.shape == (4096,)
+    assert abs(np.linalg.norm(out.final_state) - 1.0) < 1e-12
+    assert out.consumed_time == pytest.approx(3.0)
+    assert len(out.candidate) == 12
 
 
 def test_heralded_restart_solves_within_budget():
