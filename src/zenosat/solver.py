@@ -151,9 +151,10 @@ class _Recorder:
 
 
 # Kernels take (state, operators, tau, dt, rng), apply every clause for one dt
-# and return (state, readouts or None); sme_step already has that form. They
-# are looked up in zenosat.solver when a run starts or at call time, so
-# patches of the dynamics names here (tracing, profiling) reach every call.
+# and return (state, readouts or None); sme_step already has that form, and
+# _kraus_maps has it once a run binds its index tables. They are looked up in
+# zenosat.solver when a run starts or at call time, so patches of the
+# dynamics names here (tracing, profiling) reach every call.
 
 
 def _lindblad(rho, xs, tau, dt, rng):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import kraus_measure_dense, lindblad_step_heun
+from oracles import lindblad_step_heun
 from zenosat.dynamics import average_map, kraus_measure, lindblad_step, sme_step
 from zenosat.encoding import ClauseSet
 from zenosat.qlinalg import plus_density, plus_state, trace_distance, validate_density
@@ -84,18 +84,6 @@ def test_kraus_fixes_eigenstates_and_readout_moments():
     # mean +1/sqrt(tau), variance 1/dt (sampling error ~ 3 sigma)
     assert abs(rs.mean() - 1.0) < 3.0 / math.sqrt(dt * len(rs))
     assert abs(rs.var() - 1.0 / dt) < 0.15 / dt
-
-
-def test_kraus_matches_dense_reference_step():
-    # same draws, same readouts; psi psi^T follows the dense update of rho
-    rng_pure, rng_dense = np.random.default_rng(4), np.random.default_rng(4)
-    psi, rho = plus_state(2), plus_density(2)
-    for step in range(30):
-        i = step % 3
-        psi, r = measure(psi, i, 1.0, 0.3, rng_pure)
-        rho, r_dense = kraus_measure_dense(rho, X_OBS[i], 1.0, 0.3, rng_dense)
-        assert r == r_dense
-        assert np.max(np.abs(np.outer(psi, psi) - rho)) < 1e-13
 
 
 def test_measurement_operators_resolve_identity():
