@@ -13,7 +13,6 @@ from .satcore import (  # noqa: F401
     parse_dimacs,
     random_instance,
     random_unique_solution_instance,
-    schoening_solve,
     write_dimacs,
 )
 from .encoding import (  # noqa: F401

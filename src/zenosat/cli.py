@@ -173,7 +173,7 @@ def _best_solution_fidelity(rho: np.ndarray, f: CnfFormula, theta: float) -> flo
     return max(fidelity_pure(rho, solution_state(f, s, theta)) for s in sols.assignments)
 
 
-def _exp_fidelity_contour(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
+def _exp_fidelity_contour(spec: dict, outdir: Path, name: str) -> list[str]:
     f = _load_formula(spec.get("cnf", "builtin:unique2"))
     tau = spec.get("tau", 1.0)
     rows = []
@@ -192,7 +192,7 @@ def _exp_fidelity_contour(spec: dict, outdir: Path, name: str, jobs: int) -> lis
     return [f"{name}.csv"]
 
 
-def _exp_gamma_scan(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
+def _exp_gamma_scan(spec: dict, outdir: Path, name: str) -> list[str]:
     f = _load_formula(spec.get("cnf", "builtin:unique2"))
     tau = spec.get("tau", 1.0)
     dt = spec.get("dt", 0.01) * tau
@@ -270,7 +270,7 @@ def _instance_p_s(f: CnfFormula, cfg: RunConfig,
     return total / trajectories
 
 
-def _exp_tts_scaling(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
+def _exp_tts_scaling(spec: dict, outdir: Path, name: str) -> list[str]:
     mode = spec.get("mode", "average")
     rows = []
     points = []
@@ -305,7 +305,7 @@ def _exp_tts_scaling(spec: dict, outdir: Path, name: str, jobs: int) -> list[str
     return [f"{name}.csv", f"{name}_fit.json"]
 
 
-def _exp_tts_vs_tf(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
+def _exp_tts_vs_tf(spec: dict, outdir: Path, name: str) -> list[str]:
     mode = spec.get("mode", "average")
     rng = np.random.default_rng(spec["seed"])
     if "cnf" in spec:
@@ -333,7 +333,7 @@ def _exp_tts_vs_tf(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
     return [f"{name}.csv"]
 
 
-def _exp_single_run_trace(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
+def _exp_single_run_trace(spec: dict, outdir: Path, name: str) -> list[str]:
     f = _load_formula(spec.get("cnf", "builtin:unique2"))
     tau = spec.get("tau", 1.0)
     cfg = RunConfig(
@@ -406,7 +406,8 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
         if key in spec and not isinstance(spec[key], list):
             raise ValueError(f"{kind} spec key {key!r} must be a JSON array")
     name = spec.get("name", kind.replace("-", "_").lower())
-    outputs = EXPERIMENTS[kind](_Spec(spec), outdir, name, jobs)
+    parallel = {"jobs": jobs} if kind == "phase-transition" else {}
+    outputs = EXPERIMENTS[kind](_Spec(spec), outdir, name, **parallel)
     _write_manifest(outdir / f"{name}_manifest.json", spec, outputs)
     return outputs
 

@@ -4,9 +4,9 @@ and the Euler-Maruyama stochastic step with self-consistent readout
 generation.
 
 All kernels take clause operators rather than clause objects, so callers
-control how and when operators are rebuilt as theta moves: observable
-matrices (X with X^2 = 1) acting on a density matrix, or for the Kraus
-measurement a clause's violating vector acting on a gathered state vector.
+control how and when operators are rebuilt as theta moves: a clause's
+violating vector v on its own qubits for the discrete kernels (its projector
+P is v v^T there), stacked observables X = 1 - 2P for the continuum ones.
 They are followed by the measurement time tau and the step dt. Readout
 samples carry units of tau^(-1/2).
 """
@@ -75,12 +75,29 @@ def kraus_measure(
     return post, r
 
 
-def average_map(rho: np.ndarray, x: np.ndarray, tau: float, dt: float) -> np.ndarray:
-    """Readout-averaged update rho' = ((1+beta)/2) rho + ((1-beta)/2) x rho x,
-    with beta = e^(-dt/2tau) the coherence retained per step."""
+def average_map(
+    rho: np.ndarray, v: np.ndarray, index: np.ndarray, tau: float, dt: float
+) -> np.ndarray:
+    """Readout-averaged measurement of one clause on a density matrix:
+    rho' = ((1+beta)/2) rho + ((1-beta)/2) X rho X with X = 1 - 2P and
+    beta = e^(-dt/2tau) the coherence retained per step, computed as
+    rho' = rho - (1-beta) (W + W^dag) with W = P rho (1 - P).
+
+    ``index`` is the clause's (2^k, 2^(n-k)) table of basis indices, so that
+    P acts on the rows rho[index] as v v^T. Only rows of rho are gathered:
+    P rho = v (x) amp with amp = v^T rho[index], and P rho P comes from a
+    column gather of the (2^(n-k), 2^n) amp alone.
+    """
     _check_times(tau, dt)
     beta = math.exp(-dt / (2.0 * tau))
-    return 0.5 * (1.0 + beta) * rho + 0.5 * (1.0 - beta) * (x @ rho @ x)
+    amp = (v @ rho[index].reshape(v.size, -1)).reshape(-1, rho.shape[-1])
+    cols = amp[:, index]
+    amp[:, index] = cols - v[:, None] * (v @ cols)[:, None, :]  # amp (1 - P)
+    w = np.empty_like(rho)
+    w[index] = np.multiply.outer((1.0 - beta) * v, amp)
+    out = rho - w
+    out -= w.conj().T
+    return out
 
 
 def _dissipator(

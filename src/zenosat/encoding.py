@@ -81,30 +81,33 @@ class Schedule:
         return float(np.clip(np.interp(u, us, ths), 0.0, math.pi / 2.0))
 
 
-# Peak of the arrays one dense solver step allocates, in (m, 2^n, 2^n) stacks,
-# measured with tracemalloc at n = 7, m = 28 (observables plus kernel):
-# sme_step 3.04, lindblad_step 3.00, average_map 1.29.
+# Peak of the arrays one solver step allocates, its state included and its
+# index tables not, measured with tracemalloc. Continuum steps, in (m, 2^n, 2^n)
+# stacks at n = 7, m = 28 (observables plus kernel): sme_step 3.04,
+# lindblad_step 3.00. Pure Kraus steps, in 2^n-vectors: 5.36 at n = 12, m = 52
+# and 4.28 at n = 14, m = 60 (psi, its gathered block, the update and one
+# temporary). Averaged maps, in density matrices: 4.3 at n = 9 and 10 (rho,
+# the current map's input and output, and W). Small arrays and ufunc buffers
+# add at lower n (5.3 density matrices at n = 7).
 _PEAK_STACKS = 4
-# Peak of a pure Kraus step, psi included and its index tables not, in
-# 2^n-vectors of float64, measured the same way: 5.36 at n = 12, m = 52 and
-# 4.28 at n = 14, m = 60 (psi, its gathered block, the update and one
-# temporary; small arrays add at lower n).
 _PEAK_VECTORS = 6
+_PEAK_DENSITIES = 5
 _IDENTITY = np.eye(2)[None]
 
 
 class ClauseSet:
     """All clause operators of a formula at a given theta, in two forms.
 
-    Dense: one stacked (m, 2^n, 2^n) array of projectors or observables per
-    theta. A clause projector is a tensor product over the qubits (qubit 1
-    most significant): the violating single-qubit projector on each of the
-    clause's qubits, the identity elsewhere.
+    Dense, for the continuum kernels: one (m, 2^n, 2^n) stack of projectors
+    or observables per theta. A clause projector is a tensor product over the
+    qubits (qubit 1 most significant): the violating single-qubit projector on
+    each of the clause's qubits, the identity elsewhere.
 
-    Pure: the (m, 2^k) violating vectors v_i of the clauses on their own
-    qubits, and per clause a table of basis indices that gathers a state
-    vector psi into a (2^k, 2^(n-k)) block, clause qubits first, so that the
-    clause projector acts as P_i psi = v_i (v_i^T block).
+    Clause-local, for the discrete kernels: the (m, 2^k) violating vectors v_i
+    of the clauses on their own qubits, and per clause a table of basis
+    indices that gathers a state vector psi (or the rows of a density matrix)
+    into a (2^k, 2^(n-k)) block, clause qubits first, so that the clause
+    projector acts as P_i psi = v_i (v_i^T block).
     """
 
     def __init__(self, f: CnfFormula):
@@ -116,16 +119,18 @@ class ClauseSet:
         self._qubits = np.array([[lit.variable - 1 for lit in cl] for cl in f.clauses])
         self._signs = np.array([[int(lit.negated) for lit in cl] for cl in f.clauses])
 
-    def require_memory(self, pure: bool = False) -> None:
+    def require_memory(self, form: str = "dense") -> None:
         """Raise ValueError when a run's per-step arrays would not fit in
-        physical memory: _PEAK_STACKS dense stacks, or for a pure run the index
-        tables plus _PEAK_VECTORS state vectors."""
-        if pure:
-            need = (self.m * np.dtype(np.intp).itemsize + 8 * _PEAK_VECTORS) * self.dim
-            what = "index tables and state vectors"
-        else:
-            need = _PEAK_STACKS * 8 * self.m * self.dim**2
-            what = "dense operators per step"
+        physical memory: _PEAK_STACKS dense operator stacks, or for the
+        clause-local forms "psi" and "rho" the index tables plus _PEAK_VECTORS
+        state vectors or _PEAK_DENSITIES density matrices."""
+        floats, what = {
+            "dense": (_PEAK_STACKS * self.m * self.dim**2, "dense operators per step"),
+            "psi": (_PEAK_VECTORS * self.dim, "index tables and state vectors"),
+            "rho": (_PEAK_DENSITIES * self.dim**2, "index tables and density matrices"),
+        }[form]
+        tables = 0 if form == "dense" else self.m * np.dtype(np.intp).itemsize * self.dim
+        need = 8 * floats + tables
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise ValueError(

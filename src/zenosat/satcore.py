@@ -1,5 +1,5 @@
-"""Classical k-SAT core: formulas, DIMACS I/O, brute-force oracle, random
-instance generation, and a Schoening-style local-search baseline.
+"""Classical k-SAT core: formulas, DIMACS I/O, brute-force oracle and random
+instance generation.
 
 Boolean convention used throughout the package: a variable that is *true*
 is written as bit ``0`` in bitstrings (and maps to spin ``+1`` on the
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -272,31 +272,6 @@ def random_unique_solution_instance(
         if enumerate_solutions(f).count == 1:
             return f
     raise SatError(f"no unique-solution instance found in {max_attempts} attempts")
-
-
-def schoening_solve(
-    f: CnfFormula,
-    rng: np.random.Generator,
-    max_flips: Optional[int] = None,
-    max_restarts: int = 100,
-) -> Optional[Assignment]:
-    """Schoening's random walk: random start, then repeatedly pick an
-    unsatisfied clause and flip one of its variables at random. Returns a
-    verified satisfying assignment, or None if the budget is exhausted.
-    """
-    n = f.num_vars
-    flips = max_flips if max_flips is not None else 3 * n
-    for _ in range(max_restarts):
-        bits = list(rng.random(n) < 0.5)
-        for _ in range(flips + 1):
-            unsat = [cl for cl in f.clauses
-                     if not any(bits[l.variable - 1] != l.negated for l in cl)]
-            if not unsat:
-                return tuple(bits)
-            cl = unsat[rng.integers(len(unsat))]
-            lit = cl[rng.integers(len(cl))]
-            bits[lit.variable - 1] = not bits[lit.variable - 1]
-    return None
 
 
 # Worked 2-qubit 2-SAT problems used across tests and docs: the

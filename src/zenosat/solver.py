@@ -152,18 +152,19 @@ class _Recorder:
 
 # Kernels take (state, operators, tau, dt, rng), apply every clause for one dt
 # and return (state, readouts or None); sme_step already has that form, and
-# _kraus_maps has it once a run binds its index tables. They are looked up in
-# zenosat.solver when a run starts or at call time, so patches of the
-# dynamics names here (tracing, profiling) reach every call.
+# _average_maps and _kraus_maps have it once a run binds its index tables.
+# They are looked up in zenosat.solver when a run starts or at call time, so
+# patches of the dynamics names here (tracing, profiling) reach every call.
 
 
 def _lindblad(rho, xs, tau, dt, rng):
     return lindblad_step(rho, xs, tau, dt), None
 
 
-def _average_maps(rho, xs, tau, dt, rng):
-    for x in xs:
-        rho = average_map(rho, x, tau, dt)
+def _average_maps(rho, vs, tau, dt, rng, index):
+    """Apply each clause's averaged map in turn, through its index table."""
+    for v, idx in zip(vs, index):
+        rho = average_map(rho, v, idx, tau, dt)
     return rho, None
 
 
@@ -190,21 +191,23 @@ def _evolve(
     continuum regime), which are filtered per clause; with ``detect`` a
     filtered signal below threshold aborts the run with the elapsed time.
     Without an rng the evolution is readout-averaged (sequential averaged
-    maps, or the Lindblad step in the continuum regime). With perfect
-    detection a discrete Kraus trajectory stays pure, so it holds the state
-    vector psi and the clauses' violating vectors; every other mode holds
-    the density matrix rho and dense observable stacks.
+    maps, or the Lindblad step in the continuum regime). Discrete kernels act
+    one clause at a time through its violating vector and index table, on psi
+    for a Kraus trajectory (pure under perfect detection), else on rho; the
+    continuum kernels apply dense observable stacks to rho.
     """
     cs = ClauseSet(f)
     sampled = rng is not None
     pure = sampled and not cfg.continuum
-    cs.require_memory(pure)
-    if pure:
-        state, operators = plus_state(cs.n), cs.violating_vectors
-        kernel = partial(_kraus_maps, index=cs.index)
-    else:
+    if cfg.continuum:
+        cs.require_memory()
         state, operators = plus_density(cs.n), cs.observables
-        kernel = sme_step if sampled else _lindblad if cfg.continuum else _average_maps
+        kernel = sme_step if sampled else _lindblad
+    else:
+        cs.require_memory("psi" if pure else "rho")
+        state = plus_state(cs.n) if pure else plus_density(cs.n)
+        operators = cs.violating_vectors
+        kernel = partial(_kraus_maps if pure else _average_maps, index=cs.index)
     if sampled:
         mode, keys = "heralded-single", ("purity", "z", "r", "rbar")
         fs = FilterState(cfg.filter_config(horizon), (cs.m,))

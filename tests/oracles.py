@@ -1,8 +1,9 @@
 """Reference implementations the tests check zenosat against: direct, slow
 forms of what the package computes another way (dense clause operators
-embedded one clause at a time, the partial trace, the dense-rho Kraus step,
-the integral form of the readout filter, a Heun Lindblad step), plus closed
-forms that only tests use.
+embedded one clause at a time, the partial trace, the dense-rho Kraus step
+and averaged map, the integral form of the readout filter, a Heun Lindblad
+step), plus closed forms and a classical baseline solver that only tests
+use.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from zenosat.encoding import ClauseSet, violating_state
 from zenosat.qlinalg import SIGMA_Y, kron_all, num_qubits, plus_density
-from zenosat.satcore import CnfFormula, formula
+from zenosat.satcore import Assignment, CnfFormula, formula
 
 # formulas whose clause layout the random instances rarely or never produce
 CLAUSE_LAYOUTS = {
@@ -145,6 +146,26 @@ def kraus_measure_dense(
     return post / np.trace(post).real, r
 
 
+def average_map_dense(
+    rho: np.ndarray, x: np.ndarray, tau: float, dt: float
+) -> np.ndarray:
+    """Readout-averaged update rho' = ((1+beta)/2) rho + ((1-beta)/2) x rho x,
+    with beta = e^(-dt/2tau), on the dense observable x."""
+    beta = math.exp(-dt / (2.0 * tau))
+    return 0.5 * (1.0 + beta) * rho + 0.5 * (1.0 - beta) * (x @ rho @ x)
+
+
+def dense_average_run(f: CnfFormula, cfg) -> np.ndarray:
+    """The final rho of a discrete averaged run over cfg.t_f, with the dense
+    map of every clause in turn."""
+    cs = ClauseSet(f)
+    rho = plus_density(f.num_vars)
+    for step in range(1, max(1, round(cfg.t_f / cfg.dt)) + 1):
+        for x in cs.observables(cfg.schedule.theta(step * cfg.dt / cfg.t_f)):
+            rho = average_map_dense(rho, x, cfg.tau, cfg.dt)
+    return rho
+
+
 def dense_heralded_run(f: CnfFormula, cfg, rng: np.random.Generator):
     """A discrete heralded trajectory over cfg.t_f without detection, on the
     dense density matrix. Returns the final rho and the (steps, m) readouts."""
@@ -212,3 +233,31 @@ def polynomial_minimum(
     vals = np.polyval(coeffs, grid)
     i = int(np.argmin(vals))
     return float(grid[i]), float(vals[i])
+
+
+# ---------------------------------------------------------------- classical
+
+
+def schoening_solve(
+    f: CnfFormula,
+    rng: np.random.Generator,
+    max_flips: Optional[int] = None,
+    max_restarts: int = 100,
+) -> Optional[Assignment]:
+    """Schoening's random walk: random start, then repeatedly pick an
+    unsatisfied clause and flip one of its variables at random. Returns a
+    verified satisfying assignment, or None if the budget is exhausted.
+    """
+    n = f.num_vars
+    flips = max_flips if max_flips is not None else 3 * n
+    for _ in range(max_restarts):
+        bits = list(rng.random(n) < 0.5)
+        for _ in range(flips + 1):
+            unsat = [cl for cl in f.clauses
+                     if not any(bits[l.variable - 1] != l.negated for l in cl)]
+            if not unsat:
+                return tuple(bits)
+            cl = unsat[rng.integers(len(unsat))]
+            lit = cl[rng.integers(len(cl))]
+            bits[lit.variable - 1] = not bits[lit.variable - 1]
+    return None

@@ -212,6 +212,20 @@ def test_experiment_gamma_scan_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_experiment_jobs_option_works_for_serial_kinds(tmp_path, capsys):
+    # only phase-transition runs in parallel; the other kinds accept --jobs
+    # from the CLI and write the same CSV as a serial run
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(GAMMA_SPEC))
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code = main(["experiment", str(spec_path), "--out", str(out), "--jobs", jobs])
+        assert code == 0
+    csvs = [read_csv(tmp_path / f"jobs{jobs}" / "scan.csv") for jobs in ("1", "2")]
+    assert csvs[0] == csvs[1]
+    capsys.readouterr()
+
+
 def test_experiment_fidelity_contour(tmp_path):
     spec = {
         "kind": "fidelity-contour",

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import lindblad_step_heun
+from oracles import CLAUSE_LAYOUTS, average_map_dense, lindblad_step_heun
 from zenosat.dynamics import average_map, kraus_measure, lindblad_step, sme_step
 from zenosat.encoding import ClauseSet
 from zenosat.qlinalg import plus_density, plus_state, trace_distance, validate_density
@@ -17,6 +17,11 @@ from zenosat.satcore import TWO_SAT_UNIQUE
 CLAUSES = ClauseSet(TWO_SAT_UNIQUE)
 X_OBS = CLAUSES.observables(0.8)  # (3, 4, 4) stack
 V_OBS = CLAUSES.violating_vectors(0.8)  # (3, 4): the same clauses, pure form
+
+
+def average(rho, i, tau, dt):
+    """average_map of clause i on rho, through its index table."""
+    return average_map(rho, V_OBS[i], CLAUSES.index[i], tau, dt)
 
 
 def measure(psi, i, tau, dt, rng):
@@ -38,7 +43,7 @@ KERNEL_CALLS = {
     "kraus_measure": lambda tau, dt: measure(
         plus_state(2), 0, tau, dt, np.random.default_rng(0)
     ),
-    "average_map": lambda tau, dt: average_map(plus_density(2), X_OBS[0], tau, dt),
+    "average_map": lambda tau, dt: average(plus_density(2), 0, tau, dt),
     "lindblad_step": lambda tau, dt: lindblad_step(plus_density(2), X_OBS, tau, dt),
     "sme_step": lambda tau, dt: sme_step(
         plus_density(2), X_OBS, tau, dt, np.random.default_rng(0)
@@ -98,7 +103,6 @@ def test_measurement_operators_resolve_identity():
 
 
 def test_monte_carlo_mean_matches_average_map():
-    x = X_OBS[0]
     rho0 = plus_density(2)
     rng = np.random.default_rng(7)
     acc = np.zeros_like(rho0)
@@ -107,7 +111,7 @@ def test_monte_carlo_mean_matches_average_map():
         out, _ = measure(plus_state(2), 0, 1.0, 0.4, rng)
         acc += np.outer(out, out)
     acc /= trials
-    expected = average_map(rho0, x, 1.0, 0.4)
+    expected = average(rho0, 0, 1.0, 0.4)
     assert trace_distance(acc, expected) < 0.02
 
 
@@ -115,7 +119,7 @@ def test_average_map_form_and_fixed_points():
     tau, dt = 2.0, 0.7
     x = X_OBS[2]
     rho = random_density(4, 3)
-    out = average_map(rho, x, tau, dt)
+    out = average(rho, 2, tau, dt)
     beta = math.exp(-dt / (2.0 * tau))
     assert np.allclose(out, 0.5 * (1 + beta) * rho + 0.5 * (1 - beta) * (x @ rho @ x))
     validate_density(out)
@@ -123,7 +127,24 @@ def test_average_map_form_and_fixed_points():
     vals, vecs = np.linalg.eigh(x)
     v = vecs[:, 0]
     p = np.outer(v, v)
-    assert np.allclose(average_map(p, x, tau, dt), p)
+    assert np.allclose(average(p, 2, tau, dt), p)
+
+
+@pytest.mark.parametrize("case", sorted(CLAUSE_LAYOUTS))
+def test_average_map_matches_dense_map_on_complex_rho(case):
+    # the clause-local map equals ((1+beta)/2) rho + ((1-beta)/2) X rho X on a
+    # Hermitian rho with complex coherences, and keeps it a density matrix
+    cs = ClauseSet(CLAUSE_LAYOUTS[case])
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(cs.dim, cs.dim)) + 1j * rng.normal(size=(cs.dim, cs.dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    for theta in (0.0, 0.6, math.pi / 2):
+        for v, idx, x in zip(cs.violating_vectors(theta), cs.index,
+                             cs.observables(theta)):
+            out = average_map(rho, v, idx, 1.5, 0.4)
+            assert np.max(np.abs(out - average_map_dense(rho, x, 1.5, 0.4))) < 1e-15
+            validate_density(out)
 
 
 # ---------------------------------------------------------------- lindblad
@@ -151,8 +172,8 @@ def test_lindblad_matches_sequential_maps_to_second_order():
     errs = []
     for dt in (0.02, 0.01):
         seq = rho0.copy()
-        for x in X_OBS:
-            seq = average_map(seq, x, 1.0, dt)
+        for i in range(len(X_OBS)):
+            seq = average(seq, i, 1.0, dt)
         sim = lindblad_step(rho0, X_OBS, tau=1.0, dt=dt)
         errs.append(trace_distance(seq, sim))
     assert errs[0] < 5e-4

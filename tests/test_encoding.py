@@ -165,16 +165,16 @@ def test_clause_set_refuses_when_a_step_exceeds_memory(monkeypatch):
 
 
 def test_refusal_constant_follows_measured_step_peak():
-    # the refusal counts _PEAK_STACKS stacks per step: every solver kernel,
-    # with the observables it is given, must peak below that, and the worst
-    # within one stack of it
+    # the dense refusal counts _PEAK_STACKS stacks per step: every continuum
+    # kernel, with the observables it is given, must peak below that, and the
+    # worst within one stack of it
     f = random_instance(7, 4.0, 3, np.random.default_rng(0))
     cs = ClauseSet(f)
     assert cs.m == 28
     stack = 8 * cs.m * cs.dim**2
     rho = plus_density(f.num_vars)
     peaks = {}
-    for name in ("_lindblad", "_average_maps", "sme_step"):
+    for name in ("_lindblad", "sme_step"):
         kernel = getattr(solver, name)
         tracemalloc.start()
         try:
@@ -204,18 +204,36 @@ def test_pure_refusal_constant_follows_measured_step_peak():
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
+def test_averaged_refusal_constant_follows_measured_step_peak():
+    # a discrete averaged run counts its index tables plus _PEAK_DENSITIES
+    # density matrices, rho included; the sequential maps must peak below
+    # that, and within one density matrix of it
+    f = random_instance(9, 4.3, 3, np.random.default_rng(0))
+    cs = ClauseSet(f)
+    rho, index, vs = plus_density(f.num_vars), cs.index, cs.violating_vectors(0.7)
+    tracemalloc.start()
+    try:
+        out, _ = solver._average_maps(rho, vs, 1.0, 0.25, None, index=index)
+        peak = tracemalloc.get_traced_memory()[1] / rho.nbytes
+    finally:
+        tracemalloc.stop()
+    assert 1.0 + peak < encoding._PEAK_DENSITIES, peak
+    assert 1.0 + peak > encoding._PEAK_DENSITIES - 1, peak
+    assert abs(np.trace(out) - 1.0) < 1e-12
+
+
 def test_pure_run_needs_no_dense_memory(monkeypatch):
     f = random_instance(12, 4.3, 3, np.random.default_rng(0))
     cs = ClauseSet(f)
     vectors = (np.dtype(np.intp).itemsize * cs.m + 8 * encoding._PEAK_VECTORS) * cs.dim
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": vectors}
     monkeypatch.setattr(encoding.os, "sysconf", memory.__getitem__)
-    cs.require_memory(pure=True)
+    cs.require_memory("psi")
     with pytest.raises(ValueError, match="physical memory"):
-        cs.require_memory(pure=False)
+        cs.require_memory("dense")
     memory["SC_PHYS_PAGES"] = vectors - 1
     with pytest.raises(ValueError, match="index tables and state vectors"):
-        cs.require_memory(pure=True)
+        cs.require_memory("psi")
 
 
 # ---------------------------------------------------------------- solutions

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import schoening_solve
 from zenosat.satcore import (
     CnfFormula,
     Literal,
@@ -26,7 +27,6 @@ from zenosat.satcore import (
     parse_dimacs,
     random_instance,
     random_unique_solution_instance,
-    schoening_solve,
     to_bitstring,
     write_dimacs,
 )

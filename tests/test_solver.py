@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CLAUSE_LAYOUTS, dense_heralded_run
-from zenosat.encoding import Schedule, solution_state
+from oracles import CLAUSE_LAYOUTS, dense_average_run, dense_heralded_run
+from zenosat import encoding
+from zenosat.encoding import ClauseSet, Schedule, solution_state
 from zenosat.qlinalg import fidelity_pure, kron_all, plus_density, purity, trace_distance
 from zenosat.satcore import (
     CnfFormula,
@@ -110,6 +111,48 @@ def test_clause_order_independence_in_continuum():
     a = run_average(TWO_SAT_UNIQUE, cfg).final_rho
     b = run_average(reordered, cfg).final_rho
     assert trace_distance(a, b) < 1e-3
+
+
+# the schedule rests at theta = 0, at mid-schedule or moves linearly, so a
+# whole run covers each part
+PLATEAUS = {
+    "theta0": Schedule("custom", ((0.0, 0.0), (0.99, 0.0), (1.0, math.pi / 2))),
+    "mid": Schedule("custom", ((0.0, 0.0), (0.01, math.pi / 4), (0.99, math.pi / 4),
+                               (1.0, math.pi / 2))),
+    "linear": Schedule(),
+}
+
+
+@pytest.mark.parametrize("plateau", sorted(PLATEAUS))
+@pytest.mark.parametrize("case", sorted(CLAUSE_LAYOUTS))
+def test_local_averaged_run_matches_dense_maps(case, plateau):
+    # a discrete averaged run applies each clause's map through its index
+    # table; the dense observables give the same final state
+    f = CLAUSE_LAYOUTS[case]
+    cfg = cfg_with(t_f=10.0, schedule=PLATEAUS[plateau])
+    out = run_average(f, cfg)
+    assert out.final_state.shape == (1 << f.num_vars,) * 2
+    assert np.max(np.abs(out.final_state - dense_average_run(f, cfg))) < 1e-13
+
+
+def test_discrete_averaged_run_needs_no_dense_memory(monkeypatch):
+    # memory for exactly the index tables and _PEAK_DENSITIES density
+    # matrices, far less than the dense stacks: the discrete run completes, a
+    # continuum run is refused, and one byte less refuses the discrete run
+    f = random_instance(6, 4.3, 3, np.random.default_rng(6))
+    cs = ClauseSet(f)
+    tables = np.dtype(np.intp).itemsize * cs.m * cs.dim
+    local = tables + 8 * encoding._PEAK_DENSITIES * cs.dim**2
+    assert local < 8 * cs.m * cs.dim**2
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": local}
+    monkeypatch.setattr(encoding.os, "sysconf", memory.__getitem__)
+    out = run_full(f, cfg_with(t_f=5.0))
+    assert not out.failed and abs(np.trace(out.final_state) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="physical memory"):
+        run_average(f, cfg_with(t_f=1.0, dt=0.02))
+    memory["SC_PHYS_PAGES"] = local - 1
+    with pytest.raises(ValueError, match="index tables and density matrices"):
+        run_average(f, cfg_with(t_f=5.0))
 
 
 # ---------------------------------------------------------------- readout

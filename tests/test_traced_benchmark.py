@@ -1,6 +1,7 @@
-"""The benchmark's tracer wraps ``zenosat.solver.kraus_measure`` and reads the
-shape of its second argument; a traced heralded run must keep working with
-the pure-state kernel.
+"""The benchmark's tracer wraps the kernels where ``zenosat.solver`` looks them
+up at call time and reads the shape of their second argument; a traced run of
+each clause-local mode must keep working and must count its kernel's calls,
+so that a renamed or import-time-bound kernel fails here first.
 """
 
 import json
@@ -8,16 +9,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_discrete_heralded_benchmark_runs():
+# workload -> the clause-local kernel its runs call
+KERNELS = {"herald_n6_disc": "kraus_measure", "avg_n9_dense": "average_map"}
+
+
+@pytest.mark.parametrize("workload", list(KERNELS))
+def test_traced_benchmark_counts_kernel(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         "herald_n6_disc", "--seed", "1", "--seconds", "0", "--trace", "1"],
-        capture_output=True, text=True, timeout=120, cwd=ROOT,
+         workload, "--seed", "1", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] and last["failed"] == 0, last
-    assert last["metrics"]["dynamics.kraus_measure.calls"]["value"] > 0
+    assert last["metrics"][f"dynamics.{KERNELS[workload]}.calls"]["value"] > 0
