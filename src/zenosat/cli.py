@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .satcore import (
     write_dimacs,
 )
 from .solver import (
+    MODES,
     RunConfig,
     run_average,
     run_full,
@@ -79,33 +80,9 @@ def _load_schedule(spec: str) -> Schedule:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, np.floating):
-        value = float(value)
-    elif isinstance(value, np.integer):
-        value = int(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    # the first output creates the directory, so a refused spec leaves none
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_manifest(path: Path, spec: dict, outputs: list[str]) -> None:
-    manifest = {
-        "spec": spec,
-        "outputs": outputs,
-        "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if isinstance(value, np.generic):
+        value = value.item()
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------------- solve
@@ -166,146 +143,116 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- experiments
 
 
-def _best_solution_fidelity(rho: np.ndarray, f: CnfFormula, theta: float) -> float:
+def _best_solution_fidelity(rho: np.ndarray, f: CnfFormula) -> float:
+    """Largest fidelity of rho to a satisfying product state at theta = pi/2."""
     sols = enumerate_solutions(f)
     if sols.count == 0:
         return math.nan
-    return max(fidelity_pure(rho, solution_state(f, s, theta)) for s in sols.assignments)
+    return max(fidelity_pure(rho, solution_state(f, s, math.pi / 2.0))
+               for s in sols.assignments)
 
 
-def _exp_fidelity_contour(spec: dict, outdir: Path, name: str) -> list[str]:
-    f = _load_formula(spec.get("cnf", "builtin:unique2"))
+def _config(spec: dict, t_f: float, dt: float, dt_m: float = 0.0,
+            **fields) -> RunConfig:
+    """RunConfig from spec times, which are in units of the spec's tau."""
     tau = spec.get("tau", 1.0)
-    rows = []
-    for tf_over_tau in spec["tf_over_tau"]:
-        for dt_over_tau in spec["dt_over_tau"]:
-            cfg = RunConfig(
-                t_f=tf_over_tau * tau, dt=dt_over_tau * tau, dt_m=0.0, tau=tau
-            )
-            rho = run_average(f, cfg).final_rho
-            rows.append(
-                [dt_over_tau, tf_over_tau,
-                 _best_solution_fidelity(rho, f, math.pi / 2.0)]
-            )
-    _write_csv(outdir / f"{name}.csv",
-               ["dt_over_tau", "tf_over_tau", "fidelity"], rows)
-    return [f"{name}.csv"]
-
-
-def _exp_gamma_scan(spec: dict, outdir: Path, name: str) -> list[str]:
-    f = _load_formula(spec.get("cnf", "builtin:unique2"))
-    tau = spec.get("tau", 1.0)
-    dt = spec.get("dt", 0.01) * tau
-    n = f.num_vars
-    rows = []
-    for gamma_tf in spec["gamma_tf"]:
-        t_f = 4.0 * tau * gamma_tf  # Gamma = 1/(4 tau)
-        cfg = RunConfig(t_f=t_f, dt=dt, dt_m=0.0, tau=tau)
-        rho = run_average(f, cfg).final_rho
-        conc = concurrence_2q(rho) if n == 2 else math.nan
-        zs = [local_z(rho, j) for j in range(1, n + 1)]
-        rows.append(
-            [gamma_tf, purity(rho), conc,
-             _best_solution_fidelity(rho, f, math.pi / 2.0)] + zs
-        )
-    header = ["gamma_tf", "purity", "concurrence", "fidelity"] + [
-        f"z{j}" for j in range(1, n + 1)
-    ]
-    _write_csv(outdir / f"{name}.csv", header, rows)
-    return [f"{name}.csv"]
+    return RunConfig(t_f=t_f * tau, dt=dt * tau, dt_m=dt_m * tau, tau=tau, **fields)
 
 
 def _sweep_config(spec: dict, t_f: float, mode: str) -> RunConfig:
-    """RunConfig of the sweep kinds: spec times in units of tau, with
-    dt 0.05 and dtm 50 unless the spec sets them."""
-    tau = spec.get("tau", 1.0)
-    return RunConfig(
-        t_f=t_f * tau,
-        dt=spec.get("dt", 0.05) * tau,
-        dt_m=spec.get("dtm", 50.0) * tau,
-        tau=tau,
-        mode=mode,
-    )
+    """RunConfig of the sweep kinds: dt 0.05 and dtm 50 unless the spec sets them."""
+    return _config(spec, t_f, spec.get("dt", 0.05), spec.get("dtm", 50.0), mode=mode)
 
 
-def _exp_phase_transition(spec: dict, outdir: Path, name: str, jobs: int) -> list[str]:
+def _exp_fidelity_contour(spec: dict) -> tuple:
+    f = _load_formula(spec.get("cnf", "builtin:unique2"))
+    rows = []
+    for tf_over_tau in spec["tf_over_tau"]:
+        for dt_over_tau in spec["dt_over_tau"]:
+            rho = run_average(f, _config(spec, tf_over_tau, dt_over_tau)).final_rho
+            rows.append([dt_over_tau, tf_over_tau, _best_solution_fidelity(rho, f)])
+    return ["dt_over_tau", "tf_over_tau", "fidelity"], rows
+
+
+def _exp_gamma_scan(spec: dict) -> tuple:
+    f = _load_formula(spec.get("cnf", "builtin:unique2"))
+    n = f.num_vars
+    rows = []
+    for gamma_tf in spec["gamma_tf"]:
+        cfg = _config(spec, 4.0 * gamma_tf, spec.get("dt", 0.01))  # Gamma = 1/(4 tau)
+        rho = run_average(f, cfg).final_rho
+        conc = concurrence_2q(rho) if n == 2 else math.nan
+        zs = [local_z(rho, j) for j in range(1, n + 1)]
+        rows.append([gamma_tf, purity(rho), conc, _best_solution_fidelity(rho, f)] + zs)
+    header = ["gamma_tf", "purity", "concurrence", "fidelity"] + [
+        f"z{j}" for j in range(1, n + 1)
+    ]
+    return header, rows
+
+
+def _exp_phase_transition(spec: dict, jobs: int) -> tuple:
+    header = ["n", "k", "alpha", "t_f", "mode", "num_instances", "p_succ"]
     rows = []
     for mode in spec.get("modes", ["average"]):
         for t_f in spec["tf_list"]:
-            cfg = _sweep_config(spec, t_f, mode)
             curve = phase_transition_curve(
                 n=spec["n"],
                 k=spec["k"],
                 alphas=spec["alphas"],
-                cfg=cfg,
+                cfg=_sweep_config(spec, t_f, mode),
                 num_instances=spec.get("instances", 200),
                 seed=spec["seed"],
                 shots=spec.get("shots", 1),
                 jobs=jobs,
             )
-            for row in curve:
-                rows.append(
-                    [row["n"], row["k"], row["alpha"], row["t_f"], row["mode"],
-                     row["num_instances"], row["p_succ"]]
-                )
-    _write_csv(
-        outdir / f"{name}.csv",
-        ["n", "k", "alpha", "t_f", "mode", "num_instances", "p_succ"],
-        rows,
-    )
-    return [f"{name}.csv"]
+            rows.extend([point[col] for col in header] for point in curve)
+    return header, rows
 
 
-def _instance_p_s(f: CnfFormula, cfg: RunConfig,
-                  trajectories: int, rng: np.random.Generator) -> float:
-    """Mean exact readout success probability over evolved final states."""
-    sols = enumerate_solutions(f)
-    if cfg.mode == "average":
-        state = run_average(f, cfg).final_state
-        return success_probability(state, f, cfg.tau, cfg.dt_m, sols)
-    total = 0.0
-    for _ in range(trajectories):
-        out = run_heralded_restart(f, cfg, rng)
-        total += success_probability(out.final_state, f, cfg.tau, cfg.dt_m, sols)
-    return total / trajectories
+def _tts(spec: dict, cfg: RunConfig, instances: Iterable[CnfFormula],
+         rng: np.random.Generator) -> list[float]:
+    """[p_s, tts, tts_99] of the mean exact readout success probability over
+    the instances: of the averaged final state, or over `trajectories`
+    heralded restarts per instance, drawn from rng in turn."""
+    if cfg.mode not in ("average", "heralded-restart"):
+        raise ValueError(f"{spec['kind']} runs modes 'average' and "
+                         f"'heralded-restart', not {cfg.mode!r}")
+    average = cfg.mode == "average"
+    runs = 1 if average else spec.get("trajectories", 10)
+    ps = []
+    for f in instances:
+        sols = enumerate_solutions(f)
+        total = 0.0
+        for _ in range(runs):
+            out = run_average(f, cfg) if average else run_heralded_restart(f, cfg, rng)
+            total += success_probability(out.final_state, f, cfg.tau, cfg.dt_m, sols)
+        ps.append(total / runs)
+    mean_ps = float(np.mean(ps))
+    return [mean_ps,
+            tts_with_readout(mean_ps, spec.get("p_star", 0.99), cfg.t_f, cfg.dt_m),
+            tts_99(mean_ps, cfg.t_f)]
 
 
-def _exp_tts_scaling(spec: dict, outdir: Path, name: str) -> list[str]:
+def _exp_tts_scaling(spec: dict) -> tuple:
     mode = spec.get("mode", "average")
+    cfg = _sweep_config(spec, spec["tf"], mode)
     rows = []
-    points = []
     for n in spec["n_list"]:
         rng = np.random.default_rng([spec["seed"], n])
-        cfg = _sweep_config(spec, spec["tf"], mode)
-        ps = []
-        for _ in range(spec.get("instances", 20)):
-            f = random_unique_solution_instance(n, spec["alpha"], spec["k"], rng)
-            ps.append(
-                _instance_p_s(f, cfg, spec.get("trajectories", 10), rng)
-            )
-        mean_ps = float(np.mean(ps))
-        tts = tts_with_readout(mean_ps, spec.get("p_star", 0.99),
-                               cfg.t_f, cfg.dt_m)
-        rows.append([n, mode, cfg.t_f, mean_ps, tts, tts_99(mean_ps, cfg.t_f)])
-        points.append((n, tts))
-    _write_csv(
-        outdir / f"{name}.csv",
-        ["n", "mode", "t_f", "p_s", "tts", "tts_99"],
-        rows,
-    )
-    fit = fit_lambda(points)
-    (outdir / f"{name}_fit.json").write_text(
-        json.dumps(
-            {"lambda": fit.lam, "prefactor": fit.prefactor,
-             "stderr": fit.stderr, "n_range": list(fit.n_range)},
-            indent=2,
+        # drawn lazily: each instance's draw precedes its trajectories' draws
+        instances = (
+            random_unique_solution_instance(n, spec["alpha"], spec["k"], rng)
+            for _ in range(spec.get("instances", 20))
         )
-        + "\n"
-    )
-    return [f"{name}.csv", f"{name}_fit.json"]
+        rows.append([n, mode, cfg.t_f] + _tts(spec, cfg, instances, rng))
+    fit = fit_lambda([(row[0], row[4]) for row in rows])
+    return ["n", "mode", "t_f", "p_s", "tts", "tts_99"], rows, {
+        "lambda": fit.lam, "prefactor": fit.prefactor,
+        "stderr": fit.stderr, "n_range": list(fit.n_range),
+    }
 
 
-def _exp_tts_vs_tf(spec: dict, outdir: Path, name: str) -> list[str]:
+def _exp_tts_vs_tf(spec: dict) -> tuple:
     mode = spec.get("mode", "average")
     rng = np.random.default_rng(spec["seed"])
     if "cnf" in spec:
@@ -315,56 +262,29 @@ def _exp_tts_vs_tf(spec: dict, outdir: Path, name: str) -> list[str]:
             random_unique_solution_instance(spec["n"], spec["alpha"], spec["k"], rng)
             for _ in range(spec.get("instances", 10))
         ]
-    rows = []
-    for tf in spec["tf_list"]:
-        cfg = _sweep_config(spec, tf, mode)
-        ps = [
-            _instance_p_s(f, cfg, spec.get("trajectories", 10), rng)
-            for f in instances
-        ]
-        mean_ps = float(np.mean(ps))
-        rows.append(
-            [tf, mode, mean_ps,
-             tts_with_readout(mean_ps, spec.get("p_star", 0.99), cfg.t_f, cfg.dt_m),
-             tts_99(mean_ps, cfg.t_f)]
-        )
-    _write_csv(outdir / f"{name}.csv",
-               ["tf_over_tau", "mode", "p_s", "tts", "tts_99"], rows)
-    return [f"{name}.csv"]
+    rows = [[tf, mode] + _tts(spec, _sweep_config(spec, tf, mode), instances, rng)
+            for tf in spec["tf_list"]]
+    return ["tf_over_tau", "mode", "p_s", "tts", "tts_99"], rows
 
 
-def _exp_single_run_trace(spec: dict, outdir: Path, name: str) -> list[str]:
+def _exp_single_run_trace(spec: dict) -> tuple:
     f = _load_formula(spec.get("cnf", "builtin:unique2"))
-    tau = spec.get("tau", 1.0)
-    cfg = RunConfig(
-        t_f=spec["tf"] * tau,
-        dt=spec.get("dt", 0.01) * tau,
-        dt_m=0.0,
-        tau=tau,
-        mode="heralded-single",
-        seed=spec["seed"],
-        record_every=spec.get("record_every", 10),
-    )
-    rng = np.random.default_rng(spec["seed"])
-    out = run_heralded_single(f, cfg, rng)
-    d = out.diagnostics
+    every = spec.get("record_every", 10)
+    if every < 1:
+        raise ValueError(f"single-run-trace needs record_every >= 1, got {every}")
+    cfg = _config(spec, spec["tf"], spec.get("dt", 0.01), mode="heralded-single",
+                  seed=spec["seed"], record_every=every)
+    d = run_heralded_single(f, cfg, np.random.default_rng(spec["seed"])).diagnostics
     n, m = f.num_vars, f.num_clauses
-    rows = []
-    for j in range(len(d["t"])):
-        rows.append(
-            [d["t"][j], d["theta"][j], d["purity"][j]]
-            + list(d["z"][j])
-            + list(d["r"][j])
-            + list(d["rbar"][j])
-        )
+    rows = [[t, theta, pur, *z, *r, *rbar] for t, theta, pur, z, r, rbar
+            in zip(d["t"], d["theta"], d["purity"], d["z"], d["r"], d["rbar"])]
     header = (
         ["t", "theta", "purity"]
         + [f"z{q}" for q in range(1, n + 1)]
         + [f"r{i}" for i in range(1, m + 1)]
         + [f"rbar{i}" for i in range(1, m + 1)]
     )
-    _write_csv(outdir / f"{name}.csv", header, rows)
-    return [f"{name}.csv"]
+    return header, rows
 
 
 EXPERIMENTS = {
@@ -397,6 +317,8 @@ class _Spec(dict):
 
 
 def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
+    """Run a spec and write `<name>.csv` (plus `<name>_fit.json` for
+    tts-scaling) and `<name>_manifest.json` to outdir."""
     kind = spec.get("kind")
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -407,8 +329,27 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
             raise ValueError(f"{kind} spec key {key!r} must be a JSON array")
     name = spec.get("name", kind.replace("-", "_").lower())
     parallel = {"jobs": jobs} if kind == "phase-transition" else {}
-    outputs = EXPERIMENTS[kind](_Spec(spec), outdir, name, **parallel)
-    _write_manifest(outdir / f"{name}_manifest.json", spec, outputs)
+    header, rows, *fit = EXPERIMENTS[kind](_Spec(spec), **parallel)
+    # the directory is made only once the kind has run, so a refused spec
+    # leaves none
+    outdir.mkdir(parents=True, exist_ok=True)
+    with (outdir / f"{name}.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    outputs = [f"{name}.csv"]
+    if fit:
+        (outdir / f"{name}_fit.json").write_text(json.dumps(fit[0], indent=2) + "\n")
+        outputs.append(f"{name}_fit.json")
+    manifest = {
+        "spec": spec,
+        "outputs": outputs,
+        "version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    (outdir / f"{name}_manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    )
     return outputs
 
 
@@ -433,12 +374,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     src_dir = Path(args.manifest).parent
     outdir = Path(args.out) if args.out else src_dir / "replay"
     outputs = run_experiment_spec(spec, outdir, jobs=args.jobs)
-    mismatched = []
-    for rel in outputs:
-        old = (src_dir / rel).read_bytes()
-        new = (outdir / rel).read_bytes()
-        if old != new:
-            mismatched.append(rel)
+    mismatched = [rel for rel in outputs
+                  if (src_dir / rel).read_bytes() != (outdir / rel).read_bytes()]
     if mismatched:
         print(json.dumps({"status": "mismatch", "files": mismatched}))
         return 1
@@ -458,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one CNF end to end")
     p_solve.add_argument("cnf", help="DIMACS path or builtin:<name>")
-    p_solve.add_argument("--mode", default="average",
-                         choices=["average", "heralded-single", "heralded-restart"])
+    p_solve.add_argument("--mode", default="average", choices=MODES)
     p_solve.add_argument("--tau", type=float, default=1.0)
     p_solve.add_argument("--Tf", dest="tf", type=float, default=400.0)
     p_solve.add_argument("--dt", type=float, default=0.01)

@@ -59,6 +59,8 @@ class RunConfig:
             raise ValueError(f"dt_m must be >= 0, got {self.dt_m}")
         if self.tau <= 0 or self.dt <= 0:
             raise ValueError("tau and dt must be positive")
+        if self.record_every < 0:
+            raise ValueError(f"record_every must be >= 0, got {self.record_every}")
 
     @property
     def continuum(self) -> bool:

@@ -19,6 +19,7 @@ from zenosat.cli import (
     EXIT_UNDECIDED,
     EXIT_UNSAT,
     EXIT_USAGE,
+    EXPERIMENTS,
     main,
     run_experiment_spec,
 )
@@ -30,9 +31,51 @@ from zenosat.satcore import (
 )
 
 
+# one small manifest per experiment kind, with the outputs it wrote
+PINNED = Path(__file__).parent / "data" / "experiments"
+PINNED_MANIFESTS = {
+    manifest["spec"]["kind"]: manifest
+    for manifest in (
+        json.loads(path.read_text()) for path in sorted(PINNED.glob("*_manifest.json"))
+    )
+}
+
+
 def read_csv(path):
     with path.open() as fh:
         return list(csv.reader(fh))
+
+
+def read_cells(path):
+    """Rows of string cells: a CSV as written, a JSON object one key a row."""
+    if path.suffix == ".csv":
+        return read_csv(path)
+    return [
+        [key] + [str(v) for v in (val if isinstance(val, list) else [val])]
+        for key, val in json.loads(path.read_text()).items()
+    ]
+
+
+def _is_float(cell):
+    for parse in (int, float):
+        try:
+            parse(cell)
+            return parse is float
+        except ValueError:
+            pass
+    return False
+
+
+def assert_same_cells(expected, actual):
+    """Integers and text match exactly, floats to within 1e-12."""
+    assert [len(row) for row in actual] == [len(row) for row in expected]
+    for want, got in zip(sum(expected, []), sum(actual, [])):
+        if _is_float(want):
+            assert float(got) == pytest.approx(
+                float(want), rel=1e-12, abs=1e-12, nan_ok=True
+            )
+        else:
+            assert got == want
 
 
 class Hung(Exception):
@@ -328,6 +371,44 @@ def test_experiment_tts_vs_tf(tmp_path):
         assert float(rows[2][2]) > float(rows[1][2])
 
 
+@pytest.mark.parametrize("kind", list(EXPERIMENTS))
+def test_pinned_outputs_reproduce(kind, tmp_path):
+    manifest = PINNED_MANIFESTS[kind]
+    outputs = run_experiment_spec(manifest["spec"], tmp_path)
+    assert outputs == manifest["outputs"]
+    for rel in outputs:
+        assert_same_cells(read_cells(PINNED / rel), read_cells(tmp_path / rel))
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "tts-scaling", "n_list": [3, 4], "alpha": 2.0, "k": 2, "tf": 5.0,
+     "dt": 0.25, "instances": 1, "trajectories": 1},
+    {"kind": "tts-vs-Tf", "cnf": "builtin:unique2", "tf_list": [5.0], "dt": 0.25,
+     "trajectories": 1},
+], ids=lambda spec: spec["kind"])
+def test_tts_kinds_refuse_heralded_single(spec, tmp_path, capsys):
+    # a time to solution is measured by restarts or from the averaged state;
+    # a single heralded trial has no time-to-solution row of its own
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(spec, mode="heralded-single", seed=1)))
+    code = main(["experiment", str(spec_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "heralded-single" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_single_run_trace_refuses_record_every_below_one(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"kind": "single-run-trace", "cnf": "builtin:unique2", "tf": 1.0,
+         "dt": 0.25, "record_every": 0, "seed": 1}
+    ))
+    code = main(["experiment", str(spec_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "record_every" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_single_run_trace(tmp_path):
     spec = {
         "kind": "single-run-trace",
@@ -410,12 +491,14 @@ def test_experiment_set_requires_key_value(tmp_path, capsys):
 # ---------------------------------------------------------------- replay
 
 
-def test_replay_reproduces_outputs(tmp_path, capsys):
+@pytest.mark.parametrize("kind", list(EXPERIMENTS))
+def test_replay_reproduces_outputs(kind, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(GAMMA_SPEC))
+    spec_path.write_text(json.dumps(PINNED_MANIFESTS[kind]["spec"]))
     assert main(["experiment", str(spec_path), "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()
-    code = main(["replay", str(tmp_path / "run" / "scan_manifest.json")])
+    (manifest,) = (tmp_path / "run").glob("*_manifest.json")
+    code = main(["replay", str(manifest)])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["status"] == "identical"
 

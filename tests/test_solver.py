@@ -51,6 +51,8 @@ def test_run_config_validation():
         cfg_with(dt_m=-1.0)
     with pytest.raises(ValueError):
         cfg_with(tau=0.0)
+    with pytest.raises(ValueError, match="record_every"):
+        cfg_with(record_every=-1)
 
 
 def test_continuum_dispatch_threshold():
