@@ -34,8 +34,8 @@ def _check_times(tau: float, dt: float, first_order: bool = False) -> None:
 
 
 def _renormalize(rho: np.ndarray) -> np.ndarray:
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    return rho / tr[..., None, None]
+    rho /= rho.trace(axis1=-2, axis2=-1).real[..., None, None]
+    return rho
 
 
 def _hermitize(rho: np.ndarray) -> np.ndarray:
@@ -100,16 +100,10 @@ def average_map(
     return out
 
 
-def _dissipator(
-    rho: np.ndarray, observables: np.ndarray, xr: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """sum_i X_i rho X_i - m rho, given the stack X_i rho as ``xr`` when the
-    caller has formed it."""
-    # unnamed, the stacks X_i rho (if formed here) and X_i rho X_i are freed
-    # as soon as they are used, keeping the peak at three stacks
-    xrx = ((observables @ rho[..., None, :, :] if xr is None else xr)
-           @ observables).sum(axis=-3)
-    return xrx - observables.shape[0] * rho
+def _dissipator(rho: np.ndarray, observables: np.ndarray, xr: np.ndarray) -> np.ndarray:
+    """sum_i X_i rho X_i - m rho, given the stack X_i rho as ``xr``."""
+    # X_i rho X_i is unnamed and freed once summed: three stacks at peak
+    return (xr @ observables).sum(axis=-3) - observables.shape[0] * rho
 
 
 def lindblad_step(
@@ -121,7 +115,11 @@ def lindblad_step(
     observables has shape (m, d, d); rho may carry leading batch dims.
     """
     _check_times(tau, dt, first_order=True)
-    return _renormalize(rho + (dt / (4.0 * tau)) * _dissipator(rho, observables))
+    # X_i rho and X_i rho X_i are unnamed: with the observables, three stacks
+    out = (observables @ rho[..., None, :, :] @ observables).sum(axis=-3)
+    out *= dt / (4.0 * tau)
+    out += (1.0 - observables.shape[0] * dt / (4.0 * tau)) * rho
+    return _renormalize(out)
 
 
 def sme_step(

@@ -69,6 +69,7 @@ class Schedule:
                 raise ValueError("schedule table must span fractions [0, 1]")
             if abs(ths[0]) > 1e-12 or abs(ths[-1] - math.pi / 2) > 1e-9:
                 raise ValueError("schedule must run from theta=0 to theta=pi/2")
+            object.__setattr__(self, "_columns", np.array([us, ths], dtype=float))
         elif self.table is not None:
             raise ValueError("linear schedule takes no table")
 
@@ -76,17 +77,16 @@ class Schedule:
         u = min(max(fraction, 0.0), 1.0)
         if self.kind == "linear":
             return (math.pi / 2.0) * u
-        us = np.array([row[0] for row in self.table])
-        ths = np.array([row[1] for row in self.table])
+        us, ths = self._columns
         return float(np.clip(np.interp(u, us, ths), 0.0, math.pi / 2.0))
 
 
 # Peak of the arrays one solver step allocates, its state included and its
-# index tables not, measured with tracemalloc. Continuum steps, in (m, 2^n, 2^n)
-# stacks at n = 7, m = 28 (observables plus kernel): sme_step 3.04,
-# lindblad_step 3.00. Pure Kraus steps, in 2^n-vectors: 5.36 at n = 12, m = 52
-# and 4.28 at n = 14, m = 60 (psi, its gathered block, the update and one
-# temporary). Averaged maps, in density matrices: 4.3 at n = 9 and 10 (rho,
+# index tables and operator basis not, measured with tracemalloc. Continuum
+# steps, in (m, 2^n, 2^n) stacks at n = 7, m = 28 (observables plus kernel):
+# sme_step 3.04, lindblad_step 3.00. Pure Kraus steps, in 2^n-vectors: 5.36 at
+# n = 12, m = 52 and 4.28 at n = 14, m = 60 (psi, its gathered block, the update
+# and one temporary). Averaged maps, in density matrices: 4.3 at n = 9 and 10 (rho,
 # the current map's input and output, and W). Small arrays and ufunc buffers
 # add at lower n (5.3 density matrices at n = 7).
 _PEAK_STACKS = 4
@@ -121,11 +121,12 @@ class ClauseSet:
 
     def require_memory(self, form: str = "dense") -> None:
         """Raise ValueError when a run's per-step arrays would not fit in
-        physical memory: _PEAK_STACKS dense operator stacks, or for the
-        clause-local forms "psi" and "rho" the index tables plus _PEAK_VECTORS
-        state vectors or _PEAK_DENSITIES density matrices."""
+        physical memory: the 2k+1 basis stacks plus _PEAK_STACKS dense operator
+        stacks, or for the clause-local forms "psi" and "rho" the index tables
+        plus _PEAK_VECTORS state vectors or _PEAK_DENSITIES density matrices."""
+        stacks = _PEAK_STACKS + 2 * self.k + 1
         floats, what = {
-            "dense": (_PEAK_STACKS * self.m * self.dim**2, "dense operators per step"),
+            "dense": (stacks * self.m * self.dim**2, "dense operators per step"),
             "psi": (_PEAK_VECTORS * self.dim, "index tables and state vectors"),
             "rho": (_PEAK_DENSITIES * self.dim**2, "index tables and density matrices"),
         }[form]
@@ -141,15 +142,14 @@ class ClauseSet:
     @cached_property
     def _factor(self) -> np.ndarray:
         """(m, n) code per (clause, qubit) of the dense stacks: 0 identity,
-        1 positive literal, 2 negated. Built by the first dense call, which
-        refuses a register too large for memory first."""
-        self.require_memory()
+        1 positive literal, 2 negated."""
         factor = np.zeros((self.m, self.n), dtype=np.intp)
         np.put_along_axis(factor, self._qubits, 1 + self._signs, axis=1)
         return factor
 
     def projectors(self, theta: float) -> np.ndarray:
-        """(m, 2^n, 2^n) stacked clause projectors at theta."""
+        """(m, 2^n, 2^n) stacked clause projectors at theta, folded qubit by
+        qubit; the observables' basis is built from it at 2k+1 angles."""
         u = np.array([violating_state(theta, False), violating_state(theta, True)])
         table = np.concatenate([_IDENTITY, u[:, :, None] * u[:, None, :]])
         factors = table[self._factor]  # (m, n, 2, 2)
@@ -161,12 +161,31 @@ class ClauseSet:
             )
         return p
 
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        """(2k+1, m 4^n) B, X(t) = g(t) @ B for g = (1, cos t, sin t, ..., sin kt):
+        projector factors are linear in (1, cos t, sin t). The g(t_j) at 2k+1
+        equispaced t_j are orthogonal: B sums the weighted g(t_j) X(t_j) one by one."""
+        self.require_memory()
+        size = 2 * self.k + 1
+        basis = np.zeros((size, self.m * self.dim**2))
+        for theta in 2.0 * math.pi * np.arange(size) / size:
+            p = self.projectors(theta).reshape(-1)
+            for b, c in zip(basis, (-4.0 / size) * self._harmonics(theta)):
+                b += c * p
+        basis[0] /= 2.0  # |g_0|^2 = 2k+1, the others (2k+1)/2
+        basis[0].reshape(self.m, -1)[:, :: self.dim + 1] += 1.0
+        return basis
+
     def observables(self, theta: float) -> np.ndarray:
         """(m, 2^n, 2^n) stacked X_i(theta) = 1 - 2 P_i(theta)."""
-        x = self.projectors(theta)
-        x *= -2.0
-        x.reshape(self.m, -1)[:, :: self.dim + 1] += 1.0
-        return x
+        return (self._harmonics(theta) @ self._basis).reshape(self.m, self.dim, -1)
+
+    def _harmonics(self, theta: float) -> np.ndarray:
+        g = [1.0]
+        for j in range(1, self.k + 1):
+            g += (math.cos(j * theta), math.sin(j * theta))
+        return np.array(g)
 
     @cached_property
     def index(self) -> np.ndarray:

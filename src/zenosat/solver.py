@@ -180,7 +180,7 @@ def _kraus_maps(psi, vs, tau, dt, rng, index):
 
 
 def _evolve(
-    f: CnfFormula,
+    cs: ClauseSet,
     cfg: RunConfig,
     horizon: float,
     rng: Optional[np.random.Generator],
@@ -198,7 +198,6 @@ def _evolve(
     for a Kraus trajectory (pure under perfect detection), else on rho; the
     continuum kernels apply dense observable stacks to rho.
     """
-    cs = ClauseSet(f)
     sampled = rng is not None
     pure = sampled and not cfg.continuum
     if cfg.continuum:
@@ -257,11 +256,11 @@ def run_average(f: CnfFormula, cfg: RunConfig) -> RunOutcome:
     Continuum regime (dt/tau <= threshold) integrates all clauses with a
     simultaneous Lindblad step; otherwise clause maps apply sequentially.
     """
-    return _evolve(f, cfg, cfg.t_f, None, detect=False)
+    return _evolve(ClauseSet(f), cfg, cfg.t_f, None, detect=False)
 
 
 def run_heralded_single(
-    f: CnfFormula,
+    f: CnfFormula | ClauseSet,
     cfg: RunConfig,
     rng: np.random.Generator,
     horizon: Optional[float] = None,
@@ -272,7 +271,8 @@ def run_heralded_single(
     The schedule is compressed to ``horizon`` (default T_f). A filtered
     clause signal below threshold aborts the run with the elapsed time.
     """
-    return _evolve(f, cfg, cfg.t_f if horizon is None else horizon, rng, detect)
+    cs = f if isinstance(f, ClauseSet) else ClauseSet(f)
+    return _evolve(cs, cfg, cfg.t_f if horizon is None else horizon, rng, detect)
 
 
 def run_heralded_restart(
@@ -285,6 +285,7 @@ def run_heralded_restart(
     detection disabled, so total modeled time never exceeds T_f (+ one dt of
     rounding slack per attempt).
     """
+    cs = ClauseSet(f)
     t_min = cfg.resolved_t_min()
     t_rest = cfg.t_f
     consumed = 0.0
@@ -292,7 +293,7 @@ def run_heralded_restart(
     while True:
         attempts += 1
         detect = t_rest >= max(t_min, cfg.dt)  # else: last chance, undetected
-        out = run_heralded_single(f, cfg, rng, max(t_rest, cfg.dt), detect)
+        out = run_heralded_single(cs, cfg, rng, max(t_rest, cfg.dt), detect)
         consumed += out.consumed_time
         if not out.failed:
             break

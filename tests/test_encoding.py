@@ -83,6 +83,28 @@ def test_custom_schedule_interpolates():
     assert s.theta(0.75) == pytest.approx((1.0 + math.pi / 2) / 2)
 
 
+def _rebuilt_table_theta(table, fraction):
+    # reference: Schedule.theta with the table's arrays built on every call
+    u = min(max(fraction, 0.0), 1.0)
+    us = np.array([row[0] for row in table])
+    ths = np.array([row[1] for row in table])
+    return float(np.clip(np.interp(u, us, ths), 0.0, math.pi / 2.0))
+
+
+@pytest.mark.parametrize("table", [
+    ((0.0, 0.0), (0.5, 1.0), (1.0, math.pi / 2)),
+    ((0, 0), (0.25, 0.2), (0.25, 0.4), (0.7, 0.4), (1, math.pi / 2)),  # jump, plateau
+    ((0.0, 0.0), (0.999, 1e-3), (1.0, math.pi / 2)),
+], ids=["bend", "jump-plateau", "late"])
+def test_custom_schedule_arrays_built_once_keep_theta_bitwise(table):
+    s = Schedule(kind="custom", table=table)
+    for u in np.linspace(-0.1, 1.1, 601).tolist():
+        assert s.theta(u) == _rebuilt_table_theta(table, u)
+    # the cached arrays are not fields: equality and hashing see the table only
+    assert s == Schedule(kind="custom", table=table)
+    assert hash(s) == hash(Schedule(kind="custom", table=table))
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(kind="quadratic")
@@ -152,6 +174,61 @@ def test_clause_set_matches_per_clause_reference(case):
             assert np.allclose(p_psi, ps[i] @ psi, atol=1e-13)
 
 
+# the formulas the observables' trigonometric basis is checked on: random
+# k = 2 and k = 3 instances plus every special clause layout
+BASIS_CASES = {
+    "k2": random_instance(4, 2.0, 2, np.random.default_rng(21)),
+    "k3": random_instance(5, 2.0, 3, np.random.default_rng(22)),
+    **CLAUSE_LAYOUTS,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASIS_CASES))
+def test_observable_basis_matches_fold_and_per_clause_reference(case):
+    f = BASIS_CASES[case]
+    cs = ClauseSet(f)
+    refs = [clause_observable(f, i) for i in range(f.num_clauses)]
+    for theta in np.linspace(0.0, math.pi / 2, 50).tolist():
+        xs = cs.observables(theta)
+        fold = -2.0 * cs.projectors(theta)
+        fold.reshape(cs.m, -1)[:, :: cs.dim + 1] += 1.0
+        assert np.max(np.abs(xs - fold)) < 1e-14
+        for x, ref in zip(xs, refs):
+            assert np.max(np.abs(x - ref.observable(theta))) < 1e-14
+
+
+def test_basis_size_and_build_peak_are_counted_by_the_refusal(monkeypatch):
+    # the cached basis holds 2k+1 (m, 2^n, 2^n) stacks; its build peaks below
+    # the 2k+1 + _PEAK_STACKS stacks the dense refusal counts, and a register
+    # one byte short of that count is refused before anything is built
+    f = random_instance(6, 4.0, 3, np.random.default_rng(0))
+    cs = ClauseSet(f)
+    stack = 8 * cs.m * cs.dim**2
+    counted = 2 * cs.k + 1 + encoding._PEAK_STACKS
+    tracemalloc.start()
+    try:
+        cs.observables(0.3)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cs._basis.nbytes == (2 * cs.k + 1) * stack
+    assert current / stack == pytest.approx(2 * cs.k + 1, abs=0.05)
+    assert peak / stack < counted, peak / stack
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": counted * stack}
+    monkeypatch.setattr(encoding.os, "sysconf", memory.__getitem__)
+    ClauseSet(f).require_memory()
+    memory["SC_PHYS_PAGES"] -= 1
+    refused = ClauseSet(f)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense operators"):
+            refused.observables(0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack / 10, peak / stack
+
+
 def test_clause_set_refuses_when_a_step_exceeds_memory(monkeypatch):
     stack = 8 * TWO_SAT_UNIQUE.num_clauses * 4**TWO_SAT_UNIQUE.num_vars
     memory = {"SC_PAGE_SIZE": 1}
@@ -173,6 +250,7 @@ def test_refusal_constant_follows_measured_step_peak():
     assert cs.m == 28
     stack = 8 * cs.m * cs.dim**2
     rho = plus_density(f.num_vars)
+    cs.observables(0.0)  # the cached basis is counted apart from a step's peak
     peaks = {}
     for name in ("_lindblad", "sme_step"):
         kernel = getattr(solver, name)

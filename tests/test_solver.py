@@ -2,7 +2,9 @@
 restarts, the terminal readout model, and the exact success probability.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +115,22 @@ def test_clause_order_independence_in_continuum():
     a = run_average(TWO_SAT_UNIQUE, cfg).final_rho
     b = run_average(reordered, cfg).final_rho
     assert trace_distance(a, b) < 1e-3
+
+
+# final states of continuum averaged runs (t_f = 40, dt = 0.01) as the
+# per-step Kronecker fold of the clause operators computed them
+CONTINUUM_FINAL_RHO = Path(__file__).parent / "data" / "continuum_final_rho.json"
+
+
+def test_continuum_final_states_are_pinned():
+    pinned = json.loads(CONTINUUM_FINAL_RHO.read_text())
+    cfg = cfg_with(t_f=40.0, dt=0.01)
+    formulas = {"unique2": TWO_SAT_UNIQUE, "two-solutions2": TWO_SAT_TWO_SOLUTIONS,
+                "unsat2": TWO_SAT_UNSAT}
+    assert sorted(pinned) == sorted(formulas)
+    for name, f in formulas.items():
+        rho = run_average(f, cfg).final_state
+        assert np.max(np.abs(rho - np.array(pinned[name]))) < 1e-12, name
 
 
 # the schedule rests at theta = 0, at mid-schedule or moves linearly, so a
@@ -315,6 +333,22 @@ def test_heralded_restart_respects_time_budget(seed, t_f):
     # total modeled time: budget plus at most one final sub-minimum run
     # and one step of rounding slack per attempt
     assert out.consumed_time <= t_f + cfg.resolved_t_min() + cfg.dt * out.num_attempts
+
+
+@pytest.mark.parametrize(
+    "dt, t_f", [(0.25, 30.0), (0.01, 20.0)], ids=["discrete", "continuum"]
+)
+def test_restart_builds_one_clause_set_per_run(dt, t_f, monkeypatch):
+    # every attempt reuses the run's ClauseSet, so its index tables or its
+    # observables' basis are built once a run
+    built = []
+    init = ClauseSet.__init__
+    monkeypatch.setattr(
+        ClauseSet, "__init__", lambda cs, f: (built.append(f), init(cs, f))[1]
+    )
+    cfg = RunConfig(t_f=t_f, dt=dt, dt_m=2.0, mode="heralded-restart", seed=1)
+    out = run_full(TWO_SAT_UNSAT, cfg)
+    assert out.num_attempts == 3 and built == [TWO_SAT_UNSAT]
 
 
 def test_restart_compresses_schedule_into_remaining_budget():
