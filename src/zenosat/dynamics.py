@@ -1,14 +1,15 @@
 """State-evolution kernels: discrete Kraus measurement of a pure state with
 sampled readout, the averaged (dephasing) map, a first-order Lindblad step,
-and the Euler-Maruyama stochastic step with self-consistent readout
-generation.
+and the first-order Kraus-form stochastic step of a pure state with
+self-consistent readout generation.
 
 All kernels take clause operators rather than clause objects, so callers
 control how and when operators are rebuilt as theta moves: a clause's
 violating vector v on its own qubits for the discrete kernels (its projector
 P is v v^T there), stacked observables X = 1 - 2P for the continuum ones.
-They are followed by the measurement time tau and the step dt. Readout
-samples carry units of tau^(-1/2).
+They are followed by the measurement time tau and the step dt. The two
+sampled kernels act on state vectors, the two averaged ones on density
+matrices. Readout samples carry units of tau^(-1/2).
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ def _check_times(tau: float, dt: float, first_order: bool = False) -> None:
 def _renormalize(rho: np.ndarray) -> np.ndarray:
     rho /= rho.trace(axis1=-2, axis2=-1).real[..., None, None]
     return rho
-
-
-def _hermitize(rho: np.ndarray) -> np.ndarray:
-    return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
 
 
 def kraus_measure(
@@ -100,12 +97,6 @@ def average_map(
     return out
 
 
-def _dissipator(rho: np.ndarray, observables: np.ndarray, xr: np.ndarray) -> np.ndarray:
-    """sum_i X_i rho X_i - m rho, given the stack X_i rho as ``xr``."""
-    # X_i rho X_i is unnamed and freed once summed: three stacks at peak
-    return (xr @ observables).sum(axis=-3) - observables.shape[0] * rho
-
-
 def lindblad_step(
     rho: np.ndarray, observables: np.ndarray, tau: float, dt: float
 ) -> np.ndarray:
@@ -123,42 +114,34 @@ def lindblad_step(
 
 
 def sme_step(
-    rho: np.ndarray,
+    psi: np.ndarray,
     observables: np.ndarray,
     tau: float,
     dt: float,
     rng: Optional[np.random.Generator] = None,
     dw: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama step of the readout-conditioned master equation.
+    """Kraus-form step of the readout-conditioned evolution of a pure state.
 
-    drho = sum_i [ (dt/4tau) (X_i rho X_i - rho)
-                   + (dW_i/2sqrt(tau)) (X_i rho + rho X_i - 2<X_i> rho) ]
-
-    The noise term is contracted first: with A = sum_i dW_i X_i it is
-    (A rho + rho A - 2 (dW . <X>) rho) / 2sqrt(tau), one (d, d) array.
-    Emits r_i = <X_i>/sqrt(tau) + dW_i/dt with the same dW_i used in the
-    update. rho may carry leading batch dims (..., d, d); dW is then (..., m).
-    Passing dw explicitly (e.g. zeros) overrides sampling. The result is
-    Hermitized and trace-renormalized.
+    Emits r_i = <X_i>/sqrt(tau) + dW_i/dt and applies
+    M = 1 + (dt/2sqrt(tau)) sum_i r_i X_i, psi' = M psi / |M psi|, the
+    first-order Kraus operator of Rouchon & Ralph (PRA 91, 012118 (2015)) for
+    L_i = X_i/2sqrt(tau): since X_i^2 = 1 its sum_i L_i^dag L_i term is a
+    multiple of the identity and cancels on normalization. The Ito products
+    r_i r_j dt^2 restore the Lindblad drift, so the ensemble mean of psi psi^dag
+    follows lindblad_step to first order, and the state stays a unit vector.
+    observables has shape (m, d, d); psi may carry leading batch dims (..., d),
+    and dW is then (..., m). Passing dw explicitly overrides sampling.
     """
     _check_times(tau, dt, first_order=True)
-    m, d, _ = observables.shape
-    batch = rho.shape[:-2]
     if dw is None:
         if rng is None:
             raise ValueError("sme_step needs an rng when dw is not given")
-        dw = rng.normal(0.0, math.sqrt(dt), size=batch + (m,))
+        dw = rng.normal(0.0, math.sqrt(dt), size=psi.shape[:-1] + observables.shape[:1])
     sqrt_tau = math.sqrt(tau)
-    xr = observables @ rho[..., None, :, :]
-    # clamp to the physical range: numerical negativity of rho can push the
-    # raw expectation outside [-1, 1], and feeding that back into the
-    # nonlinear term makes the explicit scheme diverge
-    expect = np.clip(np.real(np.trace(xr, axis1=-2, axis2=-1)), -1.0, 1.0)
-    drift = (dt / (4.0 * tau)) * _dissipator(rho, observables, xr)
-    a = (dw @ observables.reshape(m, -1)).reshape(batch + (d, d))
-    shift = 2.0 * (dw * expect).sum(axis=-1)[..., None, None] * rho
-    diffusion = (a @ rho + rho @ a - shift) / (2.0 * sqrt_tau)
-    out = _renormalize(_hermitize(rho + drift + diffusion))
+    xpsi = (observables @ psi[..., None, :, None])[..., 0]  # (..., m, d)
+    expect = np.real(xpsi @ psi.conj()[..., :, None])[..., 0]
     readouts = expect / sqrt_tau + dw / dt
+    out = psi + (dt / (2.0 * sqrt_tau)) * (readouts[..., None, :] @ xpsi)[..., 0, :]
+    out /= np.sqrt(np.real(out.conj()[..., None, :] @ out[..., :, None]))[..., 0]
     return out, readouts

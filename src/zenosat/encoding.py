@@ -84,9 +84,9 @@ class Schedule:
 # Peak of the arrays one solver step allocates, its state included and its
 # index tables and operator basis not, measured with tracemalloc. Continuum
 # steps, in (m, 2^n, 2^n) stacks at n = 7, m = 28 (observables plus kernel):
-# sme_step 3.04, lindblad_step 3.00. Pure Kraus steps, in 2^n-vectors: 5.36 at
-# n = 12, m = 52 and 4.28 at n = 14, m = 60 (psi, its gathered block, the update
-# and one temporary). Averaged maps, in density matrices: 4.3 at n = 9 and 10 (rho,
+# lindblad_step 3.00, sme_step on psi 1.01 (the observables and (m, 2^n) X_i psi).
+# Pure Kraus steps, in 2^n-vectors: 5.36 at n = 12, m = 52 and 4.28 at n = 14,
+# m = 60 (psi, its gathered block, the update and one temporary). Averaged maps, in density matrices: 4.3 at n = 9 and 10 (rho,
 # the current map's input and output, and W). Small arrays and ufunc buffers
 # add at lower n (5.3 density matrices at n = 7).
 _PEAK_STACKS = 4

@@ -89,7 +89,7 @@ class RunOutcome:
     failed_at: Optional[float] = None
     failed_clause: Optional[int] = None
     num_attempts: int = 1
-    final_state: Optional[np.ndarray] = None  # psi for a pure run, else rho
+    final_state: Optional[np.ndarray] = None  # psi if sampled, rho if averaged
     readout_r: Optional[np.ndarray] = None
     candidate: Optional[Assignment] = None
     verified: Optional[bool] = None
@@ -97,7 +97,7 @@ class RunOutcome:
 
     @property
     def final_rho(self) -> Optional[np.ndarray]:
-        """The final density matrix: psi psi^T for a pure run, else rho."""
+        """The final density matrix: psi psi^T for a sampled run, else rho."""
         state = self.final_state
         if state is None or state.ndim == 2:
             return state
@@ -153,8 +153,9 @@ class _Recorder:
 
 
 # Kernels take (state, operators, tau, dt, rng), apply every clause for one dt
-# and return (state, readouts or None); sme_step already has that form, and
-# _average_maps and _kraus_maps have it once a run binds its index tables.
+# and return (state, readouts or None): psi for the sampled ones, rho for the
+# averaged ones. sme_step already has that form, and _average_maps and
+# _kraus_maps have it once a run binds its index tables.
 # They are looked up in zenosat.solver when a run starts or at call time, so
 # patches of the dynamics names here (tracing, profiling) reach every call.
 
@@ -189,26 +190,23 @@ def _evolve(
     """Evolve |+>^n under the schedule compressed to ``horizon``.
 
     A mode is a kernel plus a detection policy. With an rng the kernel samples
-    readouts (Kraus measurements, or the stochastic master equation in the
-    continuum regime), which are filtered per clause; with ``detect`` a
-    filtered signal below threshold aborts the run with the elapsed time.
-    Without an rng the evolution is readout-averaged (sequential averaged
-    maps, or the Lindblad step in the continuum regime). Discrete kernels act
-    one clause at a time through its violating vector and index table, on psi
-    for a Kraus trajectory (pure under perfect detection), else on rho; the
-    continuum kernels apply dense observable stacks to rho.
+    readouts (per-clause Kraus measurements, or the Kraus-form stochastic step
+    in the continuum regime), which are filtered per clause; with ``detect`` a
+    filtered signal below threshold aborts the run with the elapsed time. A
+    sampled run holds psi, which perfect detection keeps pure. Without an rng
+    the evolution is readout-averaged on rho (sequential averaged maps, or the
+    Lindblad step in the continuum regime). Discrete kernels act one clause at
+    a time through its violating vector and index table; the continuum
+    kernels apply dense observable stacks.
     """
     sampled = rng is not None
-    pure = sampled and not cfg.continuum
+    cs.require_memory("dense" if cfg.continuum else "psi" if sampled else "rho")
+    state = plus_state(cs.n) if sampled else plus_density(cs.n)
     if cfg.continuum:
-        cs.require_memory()
-        state, operators = plus_density(cs.n), cs.observables
-        kernel = sme_step if sampled else _lindblad
+        operators, kernel = cs.observables, sme_step if sampled else _lindblad
     else:
-        cs.require_memory("psi" if pure else "rho")
-        state = plus_state(cs.n) if pure else plus_density(cs.n)
         operators = cs.violating_vectors
-        kernel = partial(_kraus_maps if pure else _average_maps, index=cs.index)
+        kernel = partial(_kraus_maps if sampled else _average_maps, index=cs.index)
     if sampled:
         mode, keys = "heralded-single", ("purity", "z", "r", "rbar")
         fs = FilterState(cfg.filter_config(horizon), (cs.m,))
@@ -226,7 +224,7 @@ def _evolve(
             rec.push(
                 t=t,
                 theta=theta,
-                purity=1.0 if pure else purity(state),
+                purity=1.0 if sampled else purity(state),
                 z=[local_z(state, j) for j in range(1, cs.n + 1)],
             )
             if sampled:

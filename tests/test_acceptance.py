@@ -29,6 +29,7 @@ from zenosat.qlinalg import (
     kron_all,
     local_z,
     plus_density,
+    plus_state,
     purity,
     trace_distance,
 )
@@ -137,7 +138,7 @@ def test_acceptance_04_trajectory_ensemble_matches_deterministic_evolution():
     steps = int(round(t_f / dt))
     stride = steps // 10
     rng = np.random.default_rng(7)
-    batch = np.broadcast_to(plus_density(2), (trajectories, 4, 4)).copy()
+    batch = np.broadcast_to(plus_state(2), (trajectories, 4)).copy()
     det = plus_density(2)
     dists = []
     for step in range(1, steps + 1):
@@ -146,7 +147,7 @@ def test_acceptance_04_trajectory_ensemble_matches_deterministic_evolution():
         batch, _ = sme_step(batch, xs, TAU, dt, rng)
         det = lindblad_step(det, xs, TAU, dt)
         if step % stride == 0:
-            dists.append(trace_distance(batch.mean(axis=0), det))
+            dists.append(trace_distance(batch.T @ batch / trajectories, det))
     worst = max(dists)
     ok = len(dists) == 10 and worst < 0.03
     assert report(
@@ -204,7 +205,7 @@ def test_acceptance_06_heralded_detection_latency():
 
     # healthy phase: every trajectory pinned at the solution state
     phi = solution_state(f, (True, False), math.pi / 2)
-    batch = np.broadcast_to(np.outer(phi, phi), (trajectories, 4, 4)).copy()
+    batch = np.broadcast_to(phi, (trajectories, 4)).copy()
     fs = FilterState(cfg, (trajectories, cs.m))
     false_alarms = 0
     for _ in range(2 * w):
@@ -213,9 +214,9 @@ def test_acceptance_06_heralded_detection_latency():
         false_alarms += int(fs.below_threshold().any())
 
     # inject a failure of clause 0: jump into its violating subspace
-    violating = np.zeros((4, 4))
-    violating[0, 0] = 1.0  # |00>: both variables false
-    batch = np.broadcast_to(violating, (trajectories, 4, 4)).copy()
+    violating = np.zeros(4)
+    violating[0] = 1.0  # |00>: both variables false
+    batch = np.broadcast_to(violating, (trajectories, 4)).copy()
     latency = np.full(trajectories, np.inf)
     horizon = 2 * w  # 2 * T_be
     for step in range(1, horizon + 1):
@@ -420,10 +421,11 @@ def test_acceptance_10_property_suite():
 
     # trace and Hermiticity preserved along every kernel (1e-9 / 1e-10)
     xs = ClauseSet(TWO_SAT_UNIQUE).observables(0.7)
-    rho = plus_density(2)
+    psi = plus_state(2)
     worst_tr, worst_h = 0.0, 0.0
     for _ in range(200):
-        rho, _ = sme_step(rho, xs, TAU, 0.01, rng)
+        psi, _ = sme_step(psi, xs, TAU, 0.01, rng)
+        rho = np.outer(psi, psi)
         worst_tr = max(worst_tr, abs(float(np.trace(rho)) - 1.0))
         worst_h = max(worst_h, float(np.max(np.abs(rho - rho.T))))
     rho = plus_density(2)

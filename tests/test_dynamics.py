@@ -32,6 +32,11 @@ def measure(psi, i, tau, dt, rng):
     return out, r
 
 
+def random_state(dim, seed):
+    psi = np.random.default_rng(seed).normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
 def random_density(dim, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim))
@@ -46,7 +51,7 @@ KERNEL_CALLS = {
     "average_map": lambda tau, dt: average(plus_density(2), 0, tau, dt),
     "lindblad_step": lambda tau, dt: lindblad_step(plus_density(2), X_OBS, tau, dt),
     "sme_step": lambda tau, dt: sme_step(
-        plus_density(2), X_OBS, tau, dt, np.random.default_rng(0)
+        plus_state(2), X_OBS, tau, dt, np.random.default_rng(0)
     ),
 }
 
@@ -198,68 +203,81 @@ def test_large_step_warning():
 # ---------------------------------------------------------------- stochastic
 
 
-def test_sme_zero_noise_reduces_to_deterministic_step():
-    rho = plus_density(2)
-    dw = np.zeros(3)
-    out, readouts = sme_step(rho, X_OBS, tau=1.0, dt=0.01, dw=dw)
-    assert np.allclose(out, lindblad_step(rho, X_OBS, tau=1.0, dt=0.01))
-    # with dw = 0 the emitted readout is the expectation over sqrt(tau)
-    expect = np.array([np.trace(x @ rho).real for x in X_OBS])
-    assert np.allclose(readouts, expect)
+def gauss_hermite_noise(dt, m, nodes=24):
+    """Tensor Gauss-Hermite rule for m independent N(0, dt) increments: the
+    (nodes^m, m) dW points and their weights, which sum to 1."""
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    idx = np.indices((nodes,) * m).reshape(m, -1).T  # every node per component
+    return math.sqrt(dt) * x[idx], np.prod(w[idx] / w.sum(), axis=1)
+
+
+def test_sme_mean_step_is_lindblad_step_to_first_order():
+    # the mean of psi' psi'^T over dW, exact by quadrature, differs from the
+    # Lindblad step by O(dt^2): 4x less per halving of dt
+    psi = random_state(4, 5)
+    errs = []
+    for dt in (0.02, 0.01, 0.005, 0.0025):
+        dw, weights = gauss_hermite_noise(dt, len(X_OBS))
+        out, _ = sme_step(np.broadcast_to(psi, (len(dw), 4)), X_OBS, 1.0, dt, dw=dw)
+        mean = np.einsum("b,bi,bj->ij", weights, out, out)
+        det = lindblad_step(np.outer(psi, psi), X_OBS, 1.0, dt)
+        errs.append(np.max(np.abs(mean - det)))
+    assert errs[0] <= 2e-4, errs
+    assert all(a >= 3.0 * b for a, b in zip(errs, errs[1:])), errs
 
 
 def test_sme_readout_uses_same_noise_as_update():
-    rho = random_density(4, 5)
+    psi = random_state(4, 5)
     dw = np.array([0.03, -0.02, 0.05])
     dt = 0.01
-    _, readouts = sme_step(rho, X_OBS, tau=4.0, dt=dt, dw=dw)
-    expect = np.array([np.trace(x @ rho).real for x in X_OBS])
+    _, readouts = sme_step(psi, X_OBS, tau=4.0, dt=dt, dw=dw)
+    expect = np.array([psi @ x @ psi for x in X_OBS])
     assert np.allclose(readouts, expect / 2.0 + dw / dt)
+    # with dw = 0 the emitted readout is the expectation over sqrt(tau)
+    _, readouts = sme_step(psi, X_OBS, tau=4.0, dt=dt, dw=np.zeros(3))
+    assert np.allclose(readouts, expect / 2.0)
 
 
 def test_sme_requires_noise_source():
     with pytest.raises(ValueError):
-        sme_step(plus_density(2), X_OBS, tau=1.0, dt=0.01)
+        sme_step(plus_state(2), X_OBS, tau=1.0, dt=0.01)
 
 
 def test_sme_preserves_invariants_along_trajectory():
     rng = np.random.default_rng(21)
-    rho = plus_density(2)
+    psi = plus_state(2)
     for _ in range(300):
-        rho, _ = sme_step(rho, X_OBS, tau=1.0, dt=0.01, rng=rng)
-        assert abs(np.trace(rho) - 1.0) < 1e-12
-        assert np.max(np.abs(rho - rho.T)) < 1e-12
-    assert np.min(np.linalg.eigvalsh(rho)) > -1e-6
+        psi, _ = sme_step(psi, X_OBS, tau=1.0, dt=0.01, rng=rng)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+    validate_density(np.outer(psi, psi))
 
 
 def test_sme_batched_matches_single_given_same_noise():
-    rhos = np.stack([random_density(4, s) for s in range(4)])
+    psis = np.stack([random_state(4, s) for s in range(4)])
     rng = np.random.default_rng(2)
     dw = rng.normal(0.0, 0.1, size=(4, 3))
     tau, dt = 2.0, 0.01
-    out, readouts = sme_step(rhos, X_OBS, tau=tau, dt=dt, dw=dw)
+    out, readouts = sme_step(psis, X_OBS, tau=tau, dt=dt, dw=dw)
     for i in range(4):
-        single, r_single = sme_step(rhos[i], X_OBS, tau=tau, dt=dt, dw=dw[i])
+        single, r_single = sme_step(psis[i], X_OBS, tau=tau, dt=dt, dw=dw[i])
         assert np.allclose(out[i], single)
         assert np.allclose(readouts[i], r_single)
-        # the per-clause Euler-Maruyama expression, drift and diffusion
-        rho = rhos[i]
-        step = rho.copy()
-        for x, w in zip(X_OBS, dw[i]):
-            e = np.trace(x @ rho).real
-            step += dt / (4.0 * tau) * (x @ rho @ x - rho)
-            step += w * (x @ rho + rho @ x - 2.0 * e * rho) / (2.0 * math.sqrt(tau))
-        step = 0.5 * (step + step.conj().T)
-        step /= np.trace(step).real
+        # the Kraus expression: M = 1 + (dt/2sqrt(tau)) sum_i r_i X_i with
+        # r_i = <X_i>/sqrt(tau) + dW_i/dt, psi' = M psi / |M psi|
+        psi = psis[i]
+        r = np.array([psi @ x @ psi for x in X_OBS]) / math.sqrt(tau) + dw[i] / dt
+        step = (np.eye(4) + dt / (2.0 * math.sqrt(tau)) * np.tensordot(r, X_OBS, 1)) @ psi
+        step /= np.linalg.norm(step)
+        assert np.max(np.abs(readouts[i] - r)) < 1e-13
         assert np.max(np.abs(out[i] - step)) < 1e-13
 
 
 def test_sme_ensemble_mean_tracks_deterministic_step():
     # quick weak-convergence check: 300 trajectories, 60 steps
     rng = np.random.default_rng(33)
-    batch = np.broadcast_to(plus_density(2), (300, 4, 4)).copy()
+    batch = np.broadcast_to(plus_state(2), (300, 4)).copy()
     det = plus_density(2)
     for _ in range(60):
         batch, _ = sme_step(batch, X_OBS, tau=1.0, dt=0.01, rng=rng)
         det = lindblad_step(det, X_OBS, tau=1.0, dt=0.01)
-    assert trace_distance(batch.mean(axis=0), det) < 0.05
+    assert trace_distance(batch.T @ batch / len(batch), det) < 0.05

@@ -249,20 +249,20 @@ def test_refusal_constant_follows_measured_step_peak():
     cs = ClauseSet(f)
     assert cs.m == 28
     stack = 8 * cs.m * cs.dim**2
-    rho = plus_density(f.num_vars)
+    states = {"_lindblad": plus_density(f.num_vars), "sme_step": plus_state(f.num_vars)}
     cs.observables(0.0)  # the cached basis is counted apart from a step's peak
     peaks = {}
-    for name in ("_lindblad", "sme_step"):
+    for name, state in states.items():
         kernel = getattr(solver, name)
         tracemalloc.start()
         try:
-            kernel(rho, cs.observables(0.7), 1.0, 0.01, np.random.default_rng(1))
+            kernel(state, cs.observables(0.7), 1.0, 0.01, np.random.default_rng(1))
             peaks[name] = tracemalloc.get_traced_memory()[1] / stack
         finally:
             tracemalloc.stop()
     assert all(peak < encoding._PEAK_STACKS for peak in peaks.values()), peaks
     assert max(peaks.values()) > encoding._PEAK_STACKS - 1, peaks
-    # the noise term is contracted before any stack is formed
+    # the psi step allocates no stack beyond the observables it is given
     assert peaks["sme_step"] <= peaks["_lindblad"] + 0.1, peaks
 
 

@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps the kernels where ``zenosat.solver`` looks them
 up at call time and reads the shape of their second argument; a traced run of
-each clause-local mode must keep working and must count its kernel's calls,
-so that a renamed or import-time-bound kernel fails here first.
+each clause-local mode and of the continuum trajectory must keep working and
+must count its kernel's calls, so that a renamed or import-time-bound kernel
+fails here first.
 """
 
 import json
@@ -14,8 +15,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# workload -> the clause-local kernel its runs call
-KERNELS = {"herald_n6_disc": "kraus_measure", "avg_n9_dense": "average_map"}
+# workload -> the clause-local or trajectory kernel its runs call
+KERNELS = {"herald_n6_disc": "kraus_measure", "avg_n9_dense": "average_map",
+           "herald_n2_cont": "sme_step"}
 
 
 @pytest.mark.parametrize("workload", list(KERNELS))
