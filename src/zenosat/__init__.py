@@ -19,10 +19,8 @@ from .encoding import (  # noqa: F401
     ClauseSet,
     Schedule,
     encoded_state,
-    q_frame,
     ry,
     solution_state,
-    zeno_g,
 )
 from .dynamics import average_map, kraus_measure, lindblad_step, sme_step  # noqa: F401
 from .herald import FilterConfig, FilterState, detect_failure  # noqa: F401

@@ -79,6 +79,17 @@ def _load_schedule(spec: str) -> Schedule:
     return Schedule(kind="custom", table=tuple(tuple(row) for row in table))
 
 
+def _count(text: str) -> int:
+    """argparse type of the count options: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _fmt(value) -> str:
     if isinstance(value, np.generic):
         value = value.item()
@@ -403,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--schedule", default="linear",
                          help="'linear' or path to a JSON (fraction, theta) table")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--max-shots", type=int, default=8)
+    p_solve.add_argument("--max-shots", type=_count, default=8)
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate random k-SAT DIMACS files")
@@ -412,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, required=True)
     p_gen.add_argument("--unique", action="store_true",
                        help="rejection-sample until exactly one solution")
-    p_gen.add_argument("--count", type=int, default=1)
+    p_gen.add_argument("--count", type=_count, default=1)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--outdir", default=None)
     p_gen.set_defaults(func=cmd_gen)
@@ -420,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a JSON experiment spec")
     p_exp.add_argument("spec", help="path to the experiment spec JSON")
     p_exp.add_argument("--out", default=None, help="output directory")
-    p_exp.add_argument("--jobs", type=int, default=1)
+    p_exp.add_argument("--jobs", type=_count, default=1)
     p_exp.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a spec field (JSON-coerced value)")
     p_exp.set_defaults(func=cmd_experiment)
@@ -428,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="re-run a manifest and compare outputs")
     p_rep.add_argument("manifest", help="path to a *_manifest.json")
     p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--jobs", type=int, default=1)
+    p_rep.add_argument("--jobs", type=_count, default=1)
     p_rep.set_defaults(func=cmd_replay)
     return parser
 

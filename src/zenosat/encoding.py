@@ -1,11 +1,13 @@
 """Theta-dependent objects of the measurement-driven encoding: encoded qubit
-states, clause projectors/observables, solution states, the Q-frame rotation,
-and the Zeno diagnostic g.
+states, clause operators, schedules and solution states.
 
 Encoding map: a true variable is dragged along ry(+theta)|+>, a false one
 along ry(-theta)|+>. At theta = pi/2 true sits at |1> and false at |0>,
 consistent with the bitstring convention true -> '0' and the readout axis
-ZHAT = |1><1| - |0><0|.
+|1><1| - |0><0|.
+
+Every clause operator comes from one source: the clause's violating vector
+on its own k qubits and its table of basis indices.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -92,22 +94,20 @@ class Schedule:
 _PEAK_STACKS = 4
 _PEAK_VECTORS = 6
 _PEAK_DENSITIES = 5
-_IDENTITY = np.eye(2)[None]
 
 
 class ClauseSet:
-    """All clause operators of a formula at a given theta, in two forms.
+    """All clause operators of a formula, derived from two per-clause tables.
 
-    Dense, for the continuum kernels: one (m, 2^n, 2^n) stack of projectors
-    or observables per theta. A clause projector is a tensor product over the
-    qubits (qubit 1 most significant): the violating single-qubit projector on
-    each of the clause's qubits, the identity elsewhere.
+    The (m, 2^k) violating vectors v_i(theta), the product of each clause's
+    violating single-qubit states, and per clause a table of basis indices
+    that gathers a state vector psi (or the rows of a density matrix) into a
+    (2^k, 2^(n-k)) block, clause qubits first. The clause projector acts as
+    P_i psi = v_i (v_i^T block); the discrete kernels use it in that form.
 
-    Clause-local, for the discrete kernels: the (m, 2^k) violating vectors v_i
-    of the clauses on their own qubits, and per clause a table of basis
-    indices that gathers a state vector psi (or the rows of a density matrix)
-    into a (2^k, 2^(n-k)) block, clause qubits first, so that the clause
-    projector acts as P_i psi = v_i (v_i^T block).
+    The continuum kernels take dense (m, 2^n, 2^n) observable stacks
+    X_i(theta) = 1 - 2 P_i(theta), sampled from a basis that scatters
+    v_i v_i^T through the index table at 2k+1 angles once per ClauseSet.
     """
 
     def __init__(self, f: CnfFormula):
@@ -140,42 +140,26 @@ class ClauseSet:
             )
 
     @cached_property
-    def _factor(self) -> np.ndarray:
-        """(m, n) code per (clause, qubit) of the dense stacks: 0 identity,
-        1 positive literal, 2 negated."""
-        factor = np.zeros((self.m, self.n), dtype=np.intp)
-        np.put_along_axis(factor, self._qubits, 1 + self._signs, axis=1)
-        return factor
-
-    def projectors(self, theta: float) -> np.ndarray:
-        """(m, 2^n, 2^n) stacked clause projectors at theta, folded qubit by
-        qubit; the observables' basis is built from it at 2k+1 angles."""
-        u = np.array([violating_state(theta, False), violating_state(theta, True)])
-        table = np.concatenate([_IDENTITY, u[:, :, None] * u[:, None, :]])
-        factors = table[self._factor]  # (m, n, 2, 2)
-        p = factors[:, 0]
-        for q in range(1, self.n):
-            d = 2 * p.shape[-1]
-            p = (p[:, :, None, :, None] * factors[:, q, None, :, None, :]).reshape(
-                self.m, d, d
-            )
-        return p
-
-    @cached_property
     def _basis(self) -> np.ndarray:
         """(2k+1, m 4^n) B, X(t) = g(t) @ B for g = (1, cos t, sin t, ..., sin kt):
-        projector factors are linear in (1, cos t, sin t). The g(t_j) at 2k+1
-        equispaced t_j are orthogonal: B sums the weighted g(t_j) X(t_j) one by one."""
+        an entry of v v^T is a product over the clause's k qubits of terms
+        u_a(t) u_b(t), each linear in (1, cos t, sin t). The g(t_j) at 2k+1
+        equispaced t_j are orthogonal, so the (2k+1, m, 2^k, 2^k) local
+        coefficients are weighted sums of g(t_j) v(t_j) v(t_j)^T; they are
+        scattered once through the index tables."""
         self.require_memory()
         size = 2 * self.k + 1
-        basis = np.zeros((size, self.m * self.dim**2))
-        for theta in 2.0 * math.pi * np.arange(size) / size:
-            p = self.projectors(theta).reshape(-1)
-            for b, c in zip(basis, (-4.0 / size) * self._harmonics(theta)):
-                b += c * p
-        basis[0] /= 2.0  # |g_0|^2 = 2k+1, the others (2k+1)/2
+        angles = 2.0 * math.pi * np.arange(size) / size
+        g = (-4.0 / size) * np.array([self._harmonics(t) for t in angles])
+        vs = np.array([self.violating_vectors(t) for t in angles])
+        local = np.einsum("jb,jmp,jmq->bmpq", g, vs, vs)
+        local[0] /= 2.0  # |g_0|^2 = 2k+1, the others (2k+1)/2
+        basis = np.zeros((size, self.m, self.dim, self.dim))
+        clause = np.arange(self.m)[:, None, None, None]
+        idx = self.index
+        basis[:, clause, idx[:, :, None], idx[:, None, :]] = local[..., None]
         basis[0].reshape(self.m, -1)[:, :: self.dim + 1] += 1.0
-        return basis
+        return basis.reshape(size, -1)
 
     def observables(self, theta: float) -> np.ndarray:
         """(m, 2^n, 2^n) stacked X_i(theta) = 1 - 2 P_i(theta)."""
@@ -218,18 +202,3 @@ def solution_state(f: CnfFormula, s: Assignment, theta: float) -> np.ndarray:
     if not evaluate(f, s):
         raise SatError(f"assignment {s} does not satisfy the formula")
     return kron_all([encoded_state(theta, bool(b)) for b in s])
-
-
-def q_frame(s: Sequence[bool], theta: float) -> np.ndarray:
-    """Frame-change rotation Q(theta): per qubit ry(-(pi/2 - theta)) for a
-    true bit and ry(+(pi/2 - theta)) for a false one. Q^dag maps the moving
-    solution state to a fixed computational-basis state.
-    """
-    delta = math.pi / 2.0 - theta
-    return kron_all([ry(-delta if b else delta) for b in s])
-
-
-def zeno_g(rho: np.ndarray, observables: np.ndarray, tau: float) -> float:
-    """(1/2 tau) sum_i (1 - <X_i>^2); zero exactly on a common eigenstate."""
-    e = np.real(np.einsum("mij,ji->m", observables, rho))
-    return float(np.sum(1.0 - e**2) / (2.0 * tau))

@@ -14,10 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-# steady-state Var[rbar] = FILTER_VARIANCE_COEFF / T_be for unit-rate white
-# noise of variance 1/dt per sample
-FILTER_VARIANCE_COEFF = (math.e + 1.0) / (2.0 * (math.e - 1.0))
-
 
 @dataclass(frozen=True)
 class FilterConfig:

@@ -50,14 +50,6 @@ def tts_99(p_s: float, t_f: float) -> float:
     return t_f * math.log(0.01) / math.log(1.0 - p_s)
 
 
-def unique_bias_success(z_t: float, dt_m: float, tau: float, n: int) -> float:
-    """Readout success probability for a unique solution with uniform local
-    bias |z_T| on every qubit: (1 + |z_T| erf(sqrt(dt_m/2 tau)))^n / 2^n.
-    """
-    e_val = math.erf(math.sqrt(dt_m / (2.0 * tau))) if dt_m > 0 else 0.0
-    return (1.0 + abs(z_t) * e_val) ** n / 2.0**n
-
-
 def _decide_instance(args) -> bool:
     """One phase-transition trial: did we classify satisfiability correctly?
 

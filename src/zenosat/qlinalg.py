@@ -5,8 +5,8 @@ Conventions fixed here and used by every other module:
 - Qubit 1 is the leftmost tensor factor, so basis index bits read qubit 1
   as the most significant bit. Basis order is ascending binary,
   {|00>, |01>, |10>, |11>} for two qubits.
-- The readout axis operator is ``ZHAT = |1><1| - |0><0|`` (the negative of
-  the textbook sigma_z): the encoded true-state sits at |1> with z = +1.
+- The readout axis operator is |1><1| - |0><0| (the negative of the
+  textbook sigma_z): the encoded true-state sits at |1> with z = +1.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-ZHAT = np.array([[-1.0, 0.0], [0.0, 1.0]])
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 def num_qubits(dim: int) -> int:
@@ -79,8 +75,9 @@ def basis_probabilities(state: np.ndarray) -> np.ndarray:
 
 
 def local_z(state: np.ndarray, j: int) -> float:
-    """Expectation of the readout axis ZHAT on qubit j of psi or rho, from the
-    basis probabilities; the other qubits are summed out last one first."""
+    """Expectation of the readout axis |1><1| - |0><0| on qubit j of psi or
+    rho, from the basis probabilities; the other qubits are summed out last
+    one first."""
     probs = basis_probabilities(state)
     n = num_qubits(probs.size)
     if j < 1 or j > n:
@@ -90,12 +87,6 @@ def local_z(state: np.ndarray, j: int) -> float:
         if q != j - 1:
             marginal = marginal.sum(axis=q)
     return float(marginal[1] - marginal[0])
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2)||a - b||_1 for Hermitian a, b."""
-    ev = np.linalg.eigvalsh(a - b)
-    return float(0.5 * np.sum(np.abs(ev)))
 
 
 def validate_density(rho: np.ndarray, check_positivity: bool = True) -> None:

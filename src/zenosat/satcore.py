@@ -35,11 +35,6 @@ class Literal:
     def to_dimacs(self) -> int:
         return -self.variable if self.negated else self.variable
 
-    @property
-    def sign(self) -> int:
-        """+1 for a positive literal, -1 for a negated one."""
-        return -1 if self.negated else 1
-
 
 Clause = tuple[Literal, ...]
 
@@ -109,10 +104,6 @@ def formula(num_vars: int, *clauses_: Iterable[int]) -> CnfFormula:
 def to_bitstring(assignment: Sequence[bool]) -> str:
     """Render an assignment as a bitstring with true -> '0', false -> '1'."""
     return "".join("0" if b else "1" for b in assignment)
-
-
-def from_bitstring(bits: str) -> Assignment:
-    return tuple(c == "0" for c in bits)
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -198,30 +189,30 @@ def _satisfied_mask(f: CnfFormula, table: np.ndarray) -> np.ndarray:
     return ok
 
 
-def enumerate_solutions(f: CnfFormula, max_vars: int = _ENUM_CAP) -> SolutionSet:
-    """Brute-force oracle over all 2^n assignments (guarded by max_vars)."""
+def _solution_chunks(f: CnfFormula, max_vars: int):
+    """Boolean tables of the satisfying assignments, one per chunk of up to
+    2^16 assignments in ascending order; refuses n > max_vars."""
     n = f.num_vars
     if n > max_vars:
         raise SatError(f"refusing brute force for n={n} > {max_vars}")
-    sols: list[Assignment] = []
     chunk = 1 << min(n, 16)
     for offset in range(0, 1 << n, chunk):
         table = _assignment_table(n, offset, min(chunk, (1 << n) - offset))
-        for row in table[_satisfied_mask(f, table)]:
-            sols.append(tuple(bool(b) for b in row))
-    return SolutionSet(tuple(sols))
+        yield table[_satisfied_mask(f, table)]
+
+
+def enumerate_solutions(f: CnfFormula, max_vars: int = _ENUM_CAP) -> SolutionSet:
+    """Brute-force oracle over all 2^n assignments (guarded by max_vars)."""
+    return SolutionSet(tuple(
+        tuple(bool(b) for b in row)
+        for sols in _solution_chunks(f, max_vars)
+        for row in sols
+    ))
 
 
 def is_satisfiable(f: CnfFormula, max_vars: int = _ENUM_CAP) -> bool:
-    n = f.num_vars
-    if n > max_vars:
-        raise SatError(f"refusing brute force for n={n} > {max_vars}")
-    chunk = 1 << min(n, 16)
-    for offset in range(0, 1 << n, chunk):
-        table = _assignment_table(n, offset, min(chunk, (1 << n) - offset))
-        if _satisfied_mask(f, table).any():
-            return True
-    return False
+    """Whether any assignment satisfies f; stops at the first chunk with one."""
+    return any(sols.size for sols in _solution_chunks(f, max_vars))
 
 
 def num_clauses_for(n: int, alpha: float) -> int:
@@ -249,12 +240,11 @@ def random_instance(
     return CnfFormula(n, tuple(clauses))
 
 
+_UNIQUE_ATTEMPTS = 10**6
+
+
 def random_unique_solution_instance(
-    n: int,
-    alpha: float,
-    k: int,
-    rng: np.random.Generator,
-    max_attempts: int = 10**6,
+    n: int, alpha: float, k: int, rng: np.random.Generator
 ) -> CnfFormula:
     """Rejection-sample random instances until exactly one solution exists.
 
@@ -267,11 +257,11 @@ def random_unique_solution_instance(
             f"no unique-solution instance exists: {m} clauses of width {k} exclude"
             f" at most {m << (n - k)} of the {1 << n} assignments of {n} variables"
         )
-    for _ in range(max_attempts):
+    for _ in range(_UNIQUE_ATTEMPTS):
         f = random_instance(n, alpha, k, rng)
         if enumerate_solutions(f).count == 1:
             return f
-    raise SatError(f"no unique-solution instance found in {max_attempts} attempts")
+    raise SatError(f"no unique-solution instance found in {_UNIQUE_ATTEMPTS} attempts")
 
 
 # Worked 2-qubit 2-SAT problems used across tests and docs: the

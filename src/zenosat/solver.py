@@ -9,7 +9,6 @@ reports the elapsed time at detection.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -45,9 +44,6 @@ class RunConfig:
     mode: str = "average"
     schedule: Schedule = field(default_factory=Schedule)
     seed: int = 0
-    t_be: Optional[float] = None  # None: max(2 tau, 0.1 horizon)
-    r_th: Optional[float] = None  # None: -2.5/sqrt(T_be)
-    t_min: Optional[float] = None  # None: 5 tau
     record_every: int = 0  # record diagnostics every k steps; 0 disables
 
     def __post_init__(self) -> None:
@@ -66,16 +62,10 @@ class RunConfig:
     def continuum(self) -> bool:
         return self.dt / self.tau <= _CONTINUUM_THRESHOLD
 
-    def resolved_t_min(self) -> float:
-        return 5.0 * self.tau if self.t_min is None else self.t_min
-
     def filter_config(self, horizon: float) -> FilterConfig:
-        if self.t_be is None:
-            t_be = max(2.0 * self.tau, 0.1 * horizon, self.dt)
-        else:
-            t_be = self.t_be
-        r_th = -2.5 / math.sqrt(t_be) if self.r_th is None else self.r_th
-        return FilterConfig(t_be=t_be, r_th=r_th, dt=self.dt)
+        """Response time max(2 tau, horizon/10, dt), threshold -2.5/sqrt(T_be)."""
+        t_be = max(2.0 * self.tau, 0.1 * horizon, self.dt)
+        return FilterConfig(t_be=t_be, r_th=-2.5 / math.sqrt(t_be), dt=self.dt)
 
 
 @dataclass
@@ -107,8 +97,8 @@ class RunOutcome:
     def candidate_bits(self) -> Optional[str]:
         return None if self.candidate is None else to_bitstring(self.candidate)
 
-    def to_dict(self, include_diagnostics: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "mode": self.mode,
             "seed": self.seed,
             "consumed_time": self.consumed_time,
@@ -120,14 +110,6 @@ class RunOutcome:
             "candidate": self.candidate_bits,
             "verified": self.verified,
         }
-        if include_diagnostics and self.diagnostics is not None:
-            out["diagnostics"] = {
-                key: np.asarray(val).tolist() for key, val in self.diagnostics.items()
-            }
-        return out
-
-    def to_json(self, include_diagnostics: bool = False) -> str:
-        return json.dumps(self.to_dict(include_diagnostics), indent=2)
 
 
 def _num_steps(horizon: float, dt: float) -> int:
@@ -279,12 +261,12 @@ def run_heralded_restart(
     """Heralded trials restarted under a total time budget t_rest = T_f.
 
     Each retry compresses the schedule into the remaining budget. Once the
-    budget drops below T_min, one final run of duration t_rest executes with
-    detection disabled, so total modeled time never exceeds T_f (+ one dt of
-    rounding slack per attempt).
+    budget drops below T_min = 5 tau, one final run of duration t_rest
+    executes with detection disabled, so total modeled time never exceeds T_f
+    (+ one dt of rounding slack per attempt).
     """
     cs = ClauseSet(f)
-    t_min = cfg.resolved_t_min()
+    t_min = 5.0 * cfg.tau
     t_rest = cfg.t_f
     consumed = 0.0
     attempts = 0

@@ -2,8 +2,9 @@
 forms of what the package computes another way (dense clause operators
 embedded one clause at a time, the partial trace, the dense-rho Kraus step
 and averaged map, the integral form of the readout filter, a Heun Lindblad
-step), plus closed forms and a classical baseline solver that only tests
-use.
+step), plus closed forms, Pauli matrices, the co-rotating frame, the Zeno
+diagnostic, the trace distance and a classical baseline solver that only
+tests use.
 """
 
 import math
@@ -12,9 +13,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from zenosat.encoding import ClauseSet, violating_state
+from zenosat.encoding import ClauseSet, ry, violating_state
 from zenosat.qlinalg import SIGMA_Y, kron_all, num_qubits, plus_density
 from zenosat.satcore import Assignment, CnfFormula, formula
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+# the readout axis |1><1| - |0><0|: the encoded true state |1> has z = +1
+ZHAT = np.array([[-1.0, 0.0], [0.0, 1.0]])
+
+# steady-state Var[rbar] = FILTER_VARIANCE_COEFF / T_be of the readout filter
+# for unit-rate white noise of variance 1/dt per sample
+FILTER_VARIANCE_COEFF = (math.e + 1.0) / (2.0 * (math.e - 1.0))
 
 # formulas whose clause layout the random instances rarely or never produce
 CLAUSE_LAYOUTS = {
@@ -106,6 +116,27 @@ def diabatic_hamiltonian(s: Sequence[bool], theta_dot: float) -> np.ndarray:
         sign = 1.0 if b else -1.0
         h += sign * embed_on_qubits(SIGMA_Y, [j], n)
     return 0.5 * theta_dot * h
+
+
+def q_frame(s: Sequence[bool], theta: float) -> np.ndarray:
+    """Frame-change rotation Q(theta): per qubit ry(-(pi/2 - theta)) for a
+    true bit and ry(+(pi/2 - theta)) for a false one. Q^dag maps the moving
+    solution state to a fixed computational-basis state.
+    """
+    delta = math.pi / 2.0 - theta
+    return kron_all([ry(-delta if b else delta) for b in s])
+
+
+def zeno_g(rho: np.ndarray, observables: np.ndarray, tau: float) -> float:
+    """(1/2 tau) sum_i (1 - <X_i>^2); zero exactly on a common eigenstate."""
+    e = np.real(np.einsum("mij,ji->m", observables, rho))
+    return float(np.sum(1.0 - e**2) / (2.0 * tau))
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/2)||a - b||_1 for Hermitian a, b."""
+    ev = np.linalg.eigvalsh(a - b)
+    return float(0.5 * np.sum(np.abs(ev)))
 
 
 # ---------------------------------------------------------------- dynamics
@@ -217,6 +248,22 @@ def windowed_filter_reference(
         w[ages >= t_be] = 0.0
         out[j] = np.sum(samples[: j + 1] * w) * dt / (norm * t_be)
     return out
+
+
+# ---------------------------------------------------------------- readout
+
+
+def unique_bias_success(z_t: float, dt_m: float, tau: float, n: int) -> float:
+    """Readout success probability for a unique solution with uniform local
+    bias |z_T| on every qubit: (1 + |z_T| erf(sqrt(dt_m/2 tau)))^n / 2^n.
+    """
+    e_val = math.erf(math.sqrt(dt_m / (2.0 * tau))) if dt_m > 0 else 0.0
+    return (1.0 + abs(z_t) * e_val) ** n / 2.0**n
+
+
+def from_bitstring(bits: str) -> Assignment:
+    """Inverse of satcore.to_bitstring: '0' -> true, '1' -> false."""
+    return tuple(c == "0" for c in bits)
 
 
 # ---------------------------------------------------------------- fitting

@@ -9,19 +9,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import FILTER_VARIANCE_COEFF, trace_distance, unique_bias_success
 from zenosat.dynamics import lindblad_step, sme_step
 from zenosat.encoding import ClauseSet, solution_state
-from zenosat.herald import (
-    FILTER_VARIANCE_COEFF,
-    FilterConfig,
-    FilterState,
-)
+from zenosat.herald import FilterConfig, FilterState
 from zenosat.metrics import (
     fit_lambda,
     n_star,
     phase_transition_curve,
     tts_99,
-    unique_bias_success,
 )
 from zenosat.qlinalg import (
     concurrence_2q,
@@ -31,7 +27,6 @@ from zenosat.qlinalg import (
     plus_density,
     plus_state,
     purity,
-    trace_distance,
 )
 from zenosat.satcore import (
     CnfFormula,

@@ -159,6 +159,25 @@ def test_solve_refuses_register_too_large_for_memory(tmp_path, capsys):
     assert "physical memory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "builtin:unique2", "--max-shots", "-2"],
+    ["solve", "builtin:unique2", "--max-shots", "0"],
+    ["gen", "--n", "3", "--alpha", "1.0", "--k", "2", "--count", "-1"],
+    ["experiment", "spec.json", "--jobs", "0"],
+    ["replay", "spec_manifest.json", "--jobs", "0"],
+], ids=["max-shots-negative", "max-shots-zero", "count", "experiment-jobs",
+        "replay-jobs"])
+def test_counts_below_one_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    # refused before anything runs or is written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "must be an integer >= 1" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_with_custom_schedule_file(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     sched.write_text(json.dumps([[0.0, 0.0], [0.5, 1.5], [1.0, 1.5707963267948966]]))

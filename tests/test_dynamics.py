@@ -8,10 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import CLAUSE_LAYOUTS, average_map_dense, lindblad_step_heun
+from oracles import (
+    CLAUSE_LAYOUTS,
+    average_map_dense,
+    lindblad_step_heun,
+    trace_distance,
+)
 from zenosat.dynamics import average_map, kraus_measure, lindblad_step, sme_step
 from zenosat.encoding import ClauseSet
-from zenosat.qlinalg import plus_density, plus_state, trace_distance, validate_density
+from zenosat.qlinalg import plus_density, plus_state, validate_density
 from zenosat.satcore import TWO_SAT_UNIQUE
 
 CLAUSES = ClauseSet(TWO_SAT_UNIQUE)

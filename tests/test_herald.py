@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exponential_window, windowed_filter_reference
-from zenosat.herald import (
+from oracles import (
     FILTER_VARIANCE_COEFF,
-    FilterConfig,
-    FilterState,
-    detect_failure,
+    exponential_window,
+    windowed_filter_reference,
 )
+from zenosat.herald import FilterConfig, FilterState, detect_failure
 from zenosat.solver import RunConfig
 
 

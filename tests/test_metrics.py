@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import polynomial_minimum
+from oracles import polynomial_minimum, unique_bias_success
 from zenosat.metrics import (
     ScalingFit,
     _decide_instance,
@@ -17,7 +17,6 @@ from zenosat.metrics import (
     phase_transition_point,
     tts_99,
     tts_with_readout,
-    unique_bias_success,
 )
 from zenosat.satcore import TWO_SAT_UNIQUE, TWO_SAT_UNSAT
 from zenosat.solver import RunConfig

@@ -1,0 +1,53 @@
+"""Guard against test-only code in the package: every public module-level
+function, class or constant of ``src/zenosat`` must be read somewhere in the
+package or in the benchmark, not only by the tests. Re-exports in
+``__init__.py`` and the benchmark's own tests do not count as readers. A name
+the tests alone need belongs in ``tests/oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "zenosat"
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names loaded, attributes accessed, and identifier strings (the
+    benchmark patches callables by name)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    readers += [p for p in (ROOT / "perfbench").glob("*.py")
+                if not p.name.startswith("test_")]
+    read = set().union(*(_read_names(ast.parse(p.read_text())) for p in readers))
+    unread = [
+        f"{module.stem}.{name}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for name in _public_definitions(ast.parse(module.read_text()))
+        if name not in read
+    ]
+    assert not unread, f"read only by tests, move to tests/oracles.py: {unread}"

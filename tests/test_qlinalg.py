@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import embed_on_qubits, reduced_density
-from zenosat.qlinalg import (
+from oracles import (
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     ZHAT,
+    embed_on_qubits,
+    reduced_density,
+    trace_distance,
+)
+from zenosat.qlinalg import (
+    SIGMA_Y,
     concurrence_2q,
     fidelity_pure,
     kron_all,
@@ -21,7 +25,6 @@ from zenosat.qlinalg import (
     plus_density,
     plus_state,
     purity,
-    trace_distance,
     validate_density,
 )
 

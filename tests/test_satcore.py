@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import schoening_solve
+from oracles import from_bitstring, schoening_solve
 from zenosat.satcore import (
     CnfFormula,
     Literal,
@@ -21,7 +21,6 @@ from zenosat.satcore import (
     enumerate_solutions,
     evaluate,
     formula,
-    from_bitstring,
     is_satisfiable,
     num_clauses_for,
     parse_dimacs,
@@ -36,8 +35,6 @@ from zenosat.satcore import (
 
 
 def test_literal_sign_and_dimacs():
-    assert Literal(3).sign == 1
-    assert Literal(3, negated=True).sign == -1
     assert Literal(3).to_dimacs() == 3
     assert Literal(3, negated=True).to_dimacs() == -3
     with pytest.raises(SatError):
