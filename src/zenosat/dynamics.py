@@ -4,12 +4,15 @@ and the first-order Kraus-form stochastic step of a pure state with
 self-consistent readout generation.
 
 All kernels take clause operators rather than clause objects, so callers
-control how and when operators are rebuilt as theta moves: a clause's
-violating vector v on its own qubits for the discrete kernels (its projector
-P is v v^T there), stacked observables X = 1 - 2P for the continuum ones.
-They are followed by the measurement time tau and the step dt. The two
-sampled kernels act on state vectors, the two averaged ones on density
-matrices. Readout samples carry units of tau^(-1/2).
+control how and when operators are rebuilt as theta moves: clause violating
+vectors v on their own qubits for the discrete kernels (a projector P is
+v v^T there) with the index tables that gather a state into each clause's
+block, stacked observables X = 1 - 2P for the continuum ones. They are
+followed by the measurement time tau and the step dt. The sampled Kraus
+kernel measures every clause of one step in a single call, the averaged map
+one clause per call. The two sampled kernels act on state vectors, the two
+averaged ones on density matrices. Readout samples carry units of
+tau^(-1/2).
 """
 
 from __future__ import annotations
@@ -40,36 +43,49 @@ def _renormalize(rho: np.ndarray) -> np.ndarray:
 
 
 def kraus_measure(
-    block: np.ndarray,
-    v: np.ndarray,
+    psi: np.ndarray,
+    vs: np.ndarray,
     tau: float,
     dt: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
-    """One generalized measurement of a clause on a pure state.
+    index: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One generalized measurement of every clause in turn on a pure state,
+    in place on psi; returns psi and the m readouts.
 
-    ``block`` is the state vector gathered so that its rows run over the
-    clause's k qubits and ``v`` is the clause's violating vector there, so the
-    clause projector acts as P psi = v (v^T block). The readout r follows the
-    exact two-Gaussian mixture with component weights 1 - <P> and <P>, means
-    +-1/sqrt(tau) and variance 1/dt; sampling draws the branch then the
-    Gaussian, which reproduces the mixture exactly. The update applies the
-    Kraus operator M_r = a+ (1 - P) + a- P for that r and renormalizes.
-    Returns the new block and r.
+    ``vs`` holds the (m, 2^k) violating vectors and ``index`` the
+    (m, 2^k, 2^(n-k)) basis-index tables, so that block = psi[index[i]] runs
+    over clause i's qubits by row and P_i acts as v (x) amp, amp = v^T block.
+    The readout r follows the exact two-Gaussian mixture with weights 1 - p
+    and p = |amp|^2, means +-1/sqrt(tau) and variance 1/dt; sampling draws the
+    branch then the Gaussian, which reproduces the mixture exactly. The update
+    applies the Kraus operator M_r = a+ (1 - P) + a- P for that r, whose
+    amplitudes a+- = e^(-dt (r -+ 1/sqrt(tau))^2 / 4) have the ratio
+    a-/a+ = e^(-dt r/sqrt(tau)). M_r is scaled so that the larger of them is 1,
+    which keeps the strong-measurement limit dt/tau >> 1 finite, and
+    normalized by |M_r psi|^2 = a+^2 (|psi|^2 - p) + a-^2 p; reading |psi|^2
+    rather than taking it as 1 keeps rounding from accumulating in the norm.
     """
     _check_times(tau, dt)
-    amp = v @ block
-    w_plus = min(max(1.0 - float(np.vdot(amp, amp).real), 0.0), 1.0)
-    mean = 1.0 / math.sqrt(tau)
-    if rng.random() >= w_plus:
-        mean = -mean
-    r = rng.normal(mean, 1.0 / math.sqrt(dt))
-    a_plus = math.exp(-dt / 4.0 * (r - 1.0 / math.sqrt(tau)) ** 2)
-    a_minus = math.exp(-dt / 4.0 * (r + 1.0 / math.sqrt(tau)) ** 2)
-    post = np.outer(v, (a_minus - a_plus) * amp)
-    post += a_plus * block
-    post /= math.sqrt(np.vdot(post, post).real)
-    return post, r
+    inv_sqrt_tau = 1.0 / math.sqrt(tau)
+    sigma = 1.0 / math.sqrt(dt)
+    readouts = np.empty(len(vs))
+    for i, (v, idx) in enumerate(zip(vs, index)):
+        block = psi[idx]
+        amp = v.dot(block)
+        p = amp.dot(amp)
+        mean = inv_sqrt_tau
+        if rng.random() >= min(max(1.0 - p, 0.0), 1.0):
+            mean = -mean
+        readouts[i] = r = rng.normal(mean, sigma)
+        x = dt * r * inv_sqrt_tau  # ln(a+/a-)
+        a_plus, a_minus = (1.0, math.exp(-x)) if x >= 0.0 else (math.exp(x), 1.0)
+        norm = math.sqrt(a_plus * a_plus * (psi.dot(psi) - p) + a_minus * a_minus * p)
+        block *= a_plus / norm
+        amp *= (a_minus - a_plus) / norm
+        block += np.multiply.outer(v, amp)
+        psi[idx] = block
+    return psi, readouts
 
 
 def average_map(

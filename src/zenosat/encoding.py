@@ -37,14 +37,6 @@ def encoded_state(theta: float, truth: bool) -> np.ndarray:
     return ry(theta if truth else -theta) @ PLUS
 
 
-def violating_state(theta: float, negated: bool) -> np.ndarray:
-    """Single-qubit state orthogonal to the literal-satisfying one: a clause
-    projector is the product of these over its literals. Positive literal
-    uses ry(pi + theta)|+>, negated uses ry(pi - theta)|+>.
-    """
-    return ry(math.pi - theta if negated else math.pi + theta) @ PLUS
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Control schedule theta(u) on the unit interval, with theta(0) = 0 and
@@ -87,10 +79,12 @@ class Schedule:
 # index tables and operator basis not, measured with tracemalloc. Continuum
 # steps, in (m, 2^n, 2^n) stacks at n = 7, m = 28 (observables plus kernel):
 # lindblad_step 3.00, sme_step on psi 1.01 (the observables and (m, 2^n) X_i psi).
-# Pure Kraus steps, in 2^n-vectors: 5.36 at n = 12, m = 52 and 4.28 at n = 14,
-# m = 60 (psi, its gathered block, the update and one temporary). Averaged maps, in density matrices: 4.3 at n = 9 and 10 (rho,
-# the current map's input and output, and W). Small arrays and ufunc buffers
-# add at lower n (5.3 density matrices at n = 7).
+# Pure Kraus steps (all m clauses in place on psi), in 2^n-vectors: 5.23 at
+# n = 12, m = 52 and 4.15 at n = 14, m = 60 (psi, one clause's gathered block,
+# and its rank-1 update with the ufunc's temporaries). Averaged maps, in
+# density matrices: 4.3 at n = 9 and 10 (rho, the current map's input and
+# output, and W). Small arrays and ufunc buffers add at lower n (5.3 density
+# matrices at n = 7).
 _PEAK_STACKS = 4
 _PEAK_VECTORS = 6
 _PEAK_DENSITIES = 5
@@ -186,8 +180,12 @@ class ClauseSet:
 
     def violating_vectors(self, theta: float) -> np.ndarray:
         """(m, 2^k) product of each clause's violating single-qubit states,
-        in literal order, at theta."""
-        u = np.array([violating_state(theta, False), violating_state(theta, True)])
+        in literal order, at theta: the state orthogonal to the literal's
+        encoded satisfying one, u = (-s - c, c - s)/sqrt 2 = ry(pi + theta)|+>
+        for a positive literal and u = (s - c, c + s)/sqrt 2 = ry(pi - theta)|+>
+        for a negated one, with c, s = cos, sin(theta/2)."""
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        u = np.array([[-s - c, c - s], [s - c, c + s]]) / math.sqrt(2.0)
         factors = u[self._signs]  # (m, k, 2)
         v = factors[:, 0]
         for j in range(1, self.k):

@@ -45,20 +45,21 @@ class FilterState:
                      + [e r(t) - r(t - T_be)] dt / ((e-1) T_be)
 
     Cold start: until the buffer covers a full window the evicted sample is
-    taken as 0 and detection is suppressed (``warmed`` is False).
+    taken as 0 and detection is suppressed; ``warmed`` turns True when the
+    ring first wraps. The window and the recurrence's two coefficients are
+    fixed by ``cfg`` and computed once.
     """
 
     def __init__(self, cfg: FilterConfig, shape: tuple[int, ...]):
         self.cfg = cfg
         self.shape = shape
         self.rbar = np.zeros(shape)
-        self._buffer = np.zeros((cfg.window,) + shape)
+        self.warmed = False
+        self._window = cfg.window
+        self._decay = 1.0 - cfg.dt / cfg.t_be
+        self._gain = cfg.dt / ((math.e - 1.0) * cfg.t_be)
+        self._buffer = np.zeros((self._window,) + shape)
         self._pos = 0
-        self._count = 0
-
-    @property
-    def warmed(self) -> bool:
-        return self._count >= self.cfg.window
 
     def update(self, r_new: np.ndarray) -> np.ndarray:
         """Push one step of raw samples; returns the new rbar array."""
@@ -66,12 +67,12 @@ class FilterState:
         if r_new.shape != self.shape:
             raise ValueError(f"sample shape {r_new.shape} != {self.shape}")
         evicted = self._buffer[self._pos] if self.warmed else 0.0
-        dt, t_be = self.cfg.dt, self.cfg.t_be
-        gain = dt / ((math.e - 1.0) * t_be)
-        self.rbar = self.rbar * (1.0 - dt / t_be) + (math.e * r_new - evicted) * gain
+        self.rbar = self.rbar * self._decay + (math.e * r_new - evicted) * self._gain
         self._buffer[self._pos] = r_new
-        self._pos = (self._pos + 1) % self.cfg.window
-        self._count += 1
+        self._pos += 1
+        if self._pos == self._window:
+            self._pos = 0
+            self.warmed = True
         return self.rbar
 
     def below_threshold(self) -> np.ndarray:
@@ -82,12 +83,15 @@ class FilterState:
 
 
 def detect_failure(fs: FilterState) -> Optional[int]:
-    """Lowest channel index whose filtered value is below threshold, if any.
+    """Lowest channel index whose filtered value is below threshold, if any;
+    None until the filter is warmed.
 
     For 1-D channel layouts only; batched callers use below_threshold().
     """
-    mask = fs.below_threshold()
-    if mask.ndim != 1:
+    if len(fs.shape) != 1:
         raise ValueError("detect_failure expects a 1-D channel layout")
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
+    if not fs.warmed:
+        return None
+    below = fs.rbar < fs.cfg.r_th
+    hit = int(below.argmax())
+    return hit if below[hit] else None

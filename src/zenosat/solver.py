@@ -136,8 +136,8 @@ class _Recorder:
 
 # Kernels take (state, operators, tau, dt, rng), apply every clause for one dt
 # and return (state, readouts or None): psi for the sampled ones, rho for the
-# averaged ones. sme_step already has that form, and _average_maps and
-# _kraus_maps have it once a run binds its index tables.
+# averaged ones. sme_step and kraus_measure already have that form, the latter
+# once a run binds its index tables, as _average_maps does.
 # They are looked up in zenosat.solver when a run starts or at call time, so
 # patches of the dynamics names here (tracing, profiling) reach every call.
 
@@ -151,15 +151,6 @@ def _average_maps(rho, vs, tau, dt, rng, index):
     for v, idx in zip(vs, index):
         rho = average_map(rho, v, idx, tau, dt)
     return rho, None
-
-
-def _kraus_maps(psi, vs, tau, dt, rng, index):
-    """Measure each clause in turn on psi, gathered into the clause's block
-    through ``index`` and scattered back."""
-    readouts = np.empty(len(vs))
-    for i, (v, idx) in enumerate(zip(vs, index)):
-        psi[idx], readouts[i] = kraus_measure(psi[idx], v, tau, dt, rng)
-    return psi, readouts
 
 
 def _evolve(
@@ -188,7 +179,7 @@ def _evolve(
         operators, kernel = cs.observables, sme_step if sampled else _lindblad
     else:
         operators = cs.violating_vectors
-        kernel = partial(_kraus_maps if sampled else _average_maps, index=cs.index)
+        kernel = partial(kraus_measure if sampled else _average_maps, index=cs.index)
     if sampled:
         mode, keys = "heralded-single", ("purity", "z", "r", "rbar")
         fs = FilterState(cfg.filter_config(horizon), (cs.m,))

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from zenosat.encoding import ClauseSet, ry, violating_state
+from zenosat.encoding import PLUS, ClauseSet, ry
 from zenosat.qlinalg import SIGMA_Y, kron_all, num_qubits, plus_density
 from zenosat.satcore import Assignment, CnfFormula, formula
 
@@ -70,6 +70,14 @@ def reduced_density(rho: np.ndarray, keep: int) -> np.ndarray:
     for q in reversed(axes):
         t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
     return t
+
+
+def violating_state(theta: float, negated: bool) -> np.ndarray:
+    """Single-qubit state orthogonal to the literal-satisfying one: a clause
+    projector is the product of these over its literals. Positive literal
+    uses ry(pi + theta)|+>, negated uses ry(pi - theta)|+>.
+    """
+    return ry(math.pi - theta if negated else math.pi + theta) @ PLUS
 
 
 @dataclass(frozen=True)

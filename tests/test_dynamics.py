@@ -30,11 +30,9 @@ def average(rho, i, tau, dt):
 
 
 def measure(psi, i, tau, dt, rng):
-    """kraus_measure of clause i on psi, gathered into its block and back."""
-    idx = CLAUSES.index[i]
-    out = np.empty_like(psi)
-    out[idx], r = kraus_measure(psi[idx], V_OBS[i], tau, dt, rng)
-    return out, r
+    """kraus_measure of clause i alone on a copy of psi, through its index table."""
+    out, r = kraus_measure(psi.copy(), V_OBS[i:i + 1], tau, dt, rng, CLAUSES.index[i:i + 1])
+    return out, r[0]
 
 
 def random_state(dim, seed):

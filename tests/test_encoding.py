@@ -15,6 +15,7 @@ from oracles import (
     clause_observable,
     diabatic_hamiltonian,
     q_frame,
+    violating_state,
     zeno_g,
 )
 from zenosat import encoding, solver
@@ -24,7 +25,6 @@ from zenosat.encoding import (
     encoded_state,
     ry,
     solution_state,
-    violating_state,
 )
 from zenosat.qlinalg import plus_density, plus_state
 from zenosat.satcore import (
@@ -66,6 +66,17 @@ def test_violating_state_orthogonal_to_satisfying_value(theta):
     assert np.dot(violating_state(theta, True), encoded_state(theta, False)) == (
         pytest.approx(0.0, abs=1e-12)
     )
+
+
+@pytest.mark.parametrize("case", sorted(CLAUSE_LAYOUTS))
+def test_violating_vectors_match_rotated_plus_reference(case):
+    # the closed form of each literal's factor against ry(pi +- theta)|+>,
+    # multiplied out in literal order, over a theta grid past [0, pi/2]
+    f = CLAUSE_LAYOUTS[case]
+    cs = ClauseSet(f)
+    for theta in np.linspace(-math.pi, 2.0 * math.pi, 91):
+        ref = [clause_observable(f, i).local_vector(theta) for i in range(cs.m)]
+        assert np.max(np.abs(cs.violating_vectors(theta) - ref)) <= 1e-15
 
 
 # ---------------------------------------------------------------- schedule
@@ -186,7 +197,7 @@ BASIS_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(BASIS_CASES))
-def test_observable_basis_matches_fold_and_per_clause_reference(case):
+def test_observable_basis_matches_per_clause_reference(case):
     f = BASIS_CASES[case]
     cs = ClauseSet(f)
     refs = [clause_observable(f, i) for i in range(f.num_clauses)]
@@ -273,7 +284,7 @@ def test_pure_refusal_constant_follows_measured_step_peak():
     psi, index, vs = plus_state(f.num_vars), cs.index, cs.violating_vectors(0.7)
     tracemalloc.start()
     try:
-        solver._kraus_maps(psi, vs, 1.0, 0.25, np.random.default_rng(1), index=index)
+        solver.kraus_measure(psi, vs, 1.0, 0.25, np.random.default_rng(1), index=index)
         peak = tracemalloc.get_traced_memory()[1] / (8 * cs.dim)
     finally:
         tracemalloc.stop()

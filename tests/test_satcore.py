@@ -34,7 +34,7 @@ from zenosat.satcore import (
 # ---------------------------------------------------------------- structures
 
 
-def test_literal_sign_and_dimacs():
+def test_literal_dimacs():
     assert Literal(3).to_dimacs() == 3
     assert Literal(3, negated=True).to_dimacs() == -3
     with pytest.raises(SatError):

@@ -74,7 +74,7 @@ def test_continuum_dispatch_threshold():
     assert not cfg_with(dt=0.021).continuum
 
 
-def test_filter_config_defaults_and_overrides():
+def test_filter_config_defaults():
     cfg = cfg_with(t_f=300.0)
     fc = cfg.filter_config(horizon=300.0)
     assert fc.t_be == pytest.approx(30.0)
@@ -309,6 +309,23 @@ def test_pure_engine_matches_dense_kraus_path(case):
     # readout statistics are read from |psi|^2 as from diag(rho)
     assert success_probability(out.final_state, f, 1.0, 2.0) == pytest.approx(
         success_probability(rho, f, 1.0, 2.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("case", ["n6", "n1-k1", "whole-register", "out-of-order"])
+def test_pure_engine_matches_dense_kraus_path_in_the_projective_limit(case):
+    # at dt/tau = 10^3 the smaller Kraus amplitude underflows to 0 and the
+    # ratio of the two is e^(-+1000): every measurement is projective, and psi
+    # must stay finite and follow the dense-rho path draw for draw
+    if case == "n6":
+        f = random_instance(6, 4.3, 3, np.random.default_rng(6))
+    else:
+        f = CLAUSE_LAYOUTS[case]
+    cfg = cfg_with(t_f=10.0, dt=1.0, tau=1e-3, mode="heralded-single", record_every=1)
+    out = run_heralded_single(f, cfg, np.random.default_rng(5), detect=False)
+    rho, readouts = dense_heralded_run(f, cfg, np.random.default_rng(5))
+    assert np.all(np.isfinite(out.final_state))
+    assert np.array_equal(out.diagnostics["r"], readouts)
+    assert np.max(np.abs(out.final_rho - rho)) < 1e-13
 
 
 @pytest.mark.parametrize("case", ["unique2", "n5"])

@@ -30,4 +30,8 @@ def test_traced_benchmark_counts_kernel(workload):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] and last["failed"] == 0, last
-    assert last["metrics"][f"dynamics.{KERNELS[workload]}.calls"]["value"] > 0
+    metrics = last["metrics"]
+    assert metrics[f"dynamics.{KERNELS[workload]}.calls"]["value"] > 0
+    if workload == "herald_n6_disc":
+        # the discrete sampled kernel measures every clause in one call per step
+        assert metrics["dynamics.kraus_measure.calls"]["value"] == metrics["solver.steps"]["value"]
