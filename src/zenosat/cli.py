@@ -76,7 +76,7 @@ def _load_schedule(spec: str) -> Schedule:
     if spec == "linear":
         return Schedule()
     table = json.loads(Path(spec).read_text())
-    return Schedule(kind="custom", table=tuple(tuple(row) for row in table))
+    return Schedule(table=tuple(tuple(row) for row in table))
 
 
 def _count(text: str) -> int:

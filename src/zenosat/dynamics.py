@@ -8,11 +8,10 @@ control how and when operators are rebuilt as theta moves: clause violating
 vectors v on their own qubits for the discrete kernels (a projector P is
 v v^T there) with the index tables that gather a state into each clause's
 block, stacked observables X = 1 - 2P for the continuum ones. They are
-followed by the measurement time tau and the step dt. The sampled Kraus
-kernel measures every clause of one step in a single call, the averaged map
-one clause per call. The two sampled kernels act on state vectors, the two
-averaged ones on density matrices. Readout samples carry units of
-tau^(-1/2).
+followed by the measurement time tau and the step dt. Every kernel advances
+all m clauses by one step dt in a single call. The two sampled kernels act
+on state vectors and also return the m readouts, the two averaged ones on
+density matrices. Readout samples carry units of tau^(-1/2).
 """
 
 from __future__ import annotations
@@ -89,28 +88,32 @@ def kraus_measure(
 
 
 def average_map(
-    rho: np.ndarray, v: np.ndarray, index: np.ndarray, tau: float, dt: float
+    rho: np.ndarray, vs: np.ndarray, tau: float, dt: float, index: np.ndarray
 ) -> np.ndarray:
-    """Readout-averaged measurement of one clause on a density matrix:
+    """Readout-averaged measurement of every clause in turn on a density
+    matrix, in place on rho; returns rho. Per clause
     rho' = ((1+beta)/2) rho + ((1-beta)/2) X rho X with X = 1 - 2P and
     beta = e^(-dt/2tau) the coherence retained per step, computed as
     rho' = rho - (1-beta) (W + W^dag) with W = P rho (1 - P).
 
-    ``index`` is the clause's (2^k, 2^(n-k)) table of basis indices, so that
-    P acts on the rows rho[index] as v v^T. Only rows of rho are gathered:
+    ``vs`` holds the (m, 2^k) violating vectors and ``index`` the
+    (m, 2^k, 2^(n-k)) basis-index tables, so that P_i acts on the rows
+    rho[index[i]] as v v^T. Only rows of rho are gathered:
     P rho = v (x) amp with amp = v^T rho[index], and P rho P comes from a
-    column gather of the (2^(n-k), 2^n) amp alone.
+    column gather of the (2^(n-k), 2^n) amp alone. One W buffer serves every
+    clause, since each index table covers all rows.
     """
     _check_times(tau, dt)
     beta = math.exp(-dt / (2.0 * tau))
-    amp = (v @ rho[index].reshape(v.size, -1)).reshape(-1, rho.shape[-1])
-    cols = amp[:, index]
-    amp[:, index] = cols - v[:, None] * (v @ cols)[:, None, :]  # amp (1 - P)
     w = np.empty_like(rho)
-    w[index] = np.multiply.outer((1.0 - beta) * v, amp)
-    out = rho - w
-    out -= w.conj().T
-    return out
+    for v, idx in zip(vs, index):
+        amp = (v @ rho[idx].reshape(v.size, -1)).reshape(-1, rho.shape[-1])
+        cols = amp[:, idx]
+        amp[:, idx] = cols - v[:, None] * (v @ cols)[:, None, :]  # amp (1 - P)
+        w[idx] = np.multiply.outer((1.0 - beta) * v, amp)
+        rho -= w
+        rho -= w.conj().T
+    return rho
 
 
 def lindblad_step(

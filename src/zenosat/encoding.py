@@ -44,32 +44,30 @@ class Schedule:
     interpolated linearly; absent table means the linear ramp.
     """
 
-    kind: str = "linear"
     table: Optional[tuple[tuple[float, float], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("linear", "custom"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "custom":
-            if not self.table or len(self.table) < 2:
-                raise ValueError("custom schedule needs at least two table rows")
-            us = [row[0] for row in self.table]
-            ths = [row[1] for row in self.table]
-            if any(b < a for a, b in zip(us, us[1:])):
-                raise ValueError("schedule fractions must be non-decreasing")
-            if any(b < a for a, b in zip(ths, ths[1:])):
-                raise ValueError("schedule must be monotone non-decreasing")
-            if abs(us[0]) > 1e-12 or abs(us[-1] - 1.0) > 1e-12:
-                raise ValueError("schedule table must span fractions [0, 1]")
-            if abs(ths[0]) > 1e-12 or abs(ths[-1] - math.pi / 2) > 1e-9:
-                raise ValueError("schedule must run from theta=0 to theta=pi/2")
-            object.__setattr__(self, "_columns", np.array([us, ths], dtype=float))
-        elif self.table is not None:
-            raise ValueError("linear schedule takes no table")
+        if self.table is None:
+            return
+        if len(self.table) < 2:
+            raise ValueError("schedule table needs at least two rows")
+        us = [row[0] for row in self.table]
+        ths = [row[1] for row in self.table]
+        if not all(map(math.isfinite, us + ths)):
+            raise ValueError("schedule table entries must be finite")
+        if any(b < a for a, b in zip(us, us[1:])):
+            raise ValueError("schedule fractions must be non-decreasing")
+        if any(b < a for a, b in zip(ths, ths[1:])):
+            raise ValueError("schedule must be monotone non-decreasing")
+        if abs(us[0]) > 1e-12 or abs(us[-1] - 1.0) > 1e-12:
+            raise ValueError("schedule table must span fractions [0, 1]")
+        if abs(ths[0]) > 1e-12 or abs(ths[-1] - math.pi / 2) > 1e-9:
+            raise ValueError("schedule must run from theta=0 to theta=pi/2")
+        object.__setattr__(self, "_columns", np.array([us, ths], dtype=float))
 
     def theta(self, fraction: float) -> float:
         u = min(max(fraction, 0.0), 1.0)
-        if self.kind == "linear":
+        if self.table is None:
             return (math.pi / 2.0) * u
         us, ths = self._columns
         return float(np.clip(np.interp(u, us, ths), 0.0, math.pi / 2.0))
@@ -81,13 +79,14 @@ class Schedule:
 # lindblad_step 3.00, sme_step on psi 1.01 (the observables and (m, 2^n) X_i psi).
 # Pure Kraus steps (all m clauses in place on psi), in 2^n-vectors: 5.23 at
 # n = 12, m = 52 and 4.15 at n = 14, m = 60 (psi, one clause's gathered block,
-# and its rank-1 update with the ufunc's temporaries). Averaged maps, in
-# density matrices: 4.3 at n = 9 and 10 (rho, the current map's input and
-# output, and W). Small arrays and ufunc buffers add at lower n (5.3 density
-# matrices at n = 7).
+# and its rank-1 update with the ufunc's temporaries). Averaged steps (all m
+# clauses in place on rho), in density matrices: 3.38 at n = 9, m = 39 and
+# n = 10, m = 43 (rho, W, one clause's gathered rows or the outer product
+# scattered into W, and 2^-k-sized row and column gathers). Small arrays and
+# ufunc buffers add at lower n (4.27 density matrices at n = 7).
 _PEAK_STACKS = 4
 _PEAK_VECTORS = 6
-_PEAK_DENSITIES = 5
+_PEAK_DENSITIES = 4
 
 
 class ClauseSet:

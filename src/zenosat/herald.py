@@ -92,6 +92,6 @@ def detect_failure(fs: FilterState) -> Optional[int]:
         raise ValueError("detect_failure expects a 1-D channel layout")
     if not fs.warmed:
         return None
-    below = fs.rbar < fs.cfg.r_th
+    below = fs.below_threshold()
     hit = int(below.argmax())
     return hit if below[hit] else None

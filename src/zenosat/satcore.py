@@ -189,30 +189,30 @@ def _satisfied_mask(f: CnfFormula, table: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _solution_chunks(f: CnfFormula, max_vars: int):
+def _solution_chunks(f: CnfFormula):
     """Boolean tables of the satisfying assignments, one per chunk of up to
-    2^16 assignments in ascending order; refuses n > max_vars."""
+    2^16 assignments in ascending order; refuses n > _ENUM_CAP."""
     n = f.num_vars
-    if n > max_vars:
-        raise SatError(f"refusing brute force for n={n} > {max_vars}")
+    if n > _ENUM_CAP:
+        raise SatError(f"refusing brute force for n={n} > {_ENUM_CAP}")
     chunk = 1 << min(n, 16)
     for offset in range(0, 1 << n, chunk):
         table = _assignment_table(n, offset, min(chunk, (1 << n) - offset))
         yield table[_satisfied_mask(f, table)]
 
 
-def enumerate_solutions(f: CnfFormula, max_vars: int = _ENUM_CAP) -> SolutionSet:
-    """Brute-force oracle over all 2^n assignments (guarded by max_vars)."""
+def enumerate_solutions(f: CnfFormula) -> SolutionSet:
+    """Brute-force oracle over all 2^n assignments (guarded by _ENUM_CAP)."""
     return SolutionSet(tuple(
         tuple(bool(b) for b in row)
-        for sols in _solution_chunks(f, max_vars)
+        for sols in _solution_chunks(f)
         for row in sols
     ))
 
 
-def is_satisfiable(f: CnfFormula, max_vars: int = _ENUM_CAP) -> bool:
+def is_satisfiable(f: CnfFormula) -> bool:
     """Whether any assignment satisfies f; stops at the first chunk with one."""
-    return any(sols.size for sols in _solution_chunks(f, max_vars))
+    return any(sols.size for sols in _solution_chunks(f))
 
 
 def num_clauses_for(n: int, alpha: float) -> int:

@@ -49,6 +49,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not all(map(math.isfinite, (self.t_f, self.dt, self.dt_m, self.tau))):
+            raise ValueError("t_f, dt, dt_m and tau must be finite")
         if self.t_f < self.dt:
             raise ValueError(f"t_f = {self.t_f} shorter than dt = {self.dt}")
         if self.dt_m < 0:
@@ -134,25 +136,6 @@ class _Recorder:
         return {key: np.asarray(val) for key, val in self.data.items()}
 
 
-# Kernels take (state, operators, tau, dt, rng), apply every clause for one dt
-# and return (state, readouts or None): psi for the sampled ones, rho for the
-# averaged ones. sme_step and kraus_measure already have that form, the latter
-# once a run binds its index tables, as _average_maps does.
-# They are looked up in zenosat.solver when a run starts or at call time, so
-# patches of the dynamics names here (tracing, profiling) reach every call.
-
-
-def _lindblad(rho, xs, tau, dt, rng):
-    return lindblad_step(rho, xs, tau, dt), None
-
-
-def _average_maps(rho, vs, tau, dt, rng, index):
-    """Apply each clause's averaged map in turn, through its index table."""
-    for v, idx in zip(vs, index):
-        rho = average_map(rho, v, idx, tau, dt)
-    return rho, None
-
-
 def _evolve(
     cs: ClauseSet,
     cfg: RunConfig,
@@ -168,18 +151,21 @@ def _evolve(
     filtered signal below threshold aborts the run with the elapsed time. A
     sampled run holds psi, which perfect detection keeps pure. Without an rng
     the evolution is readout-averaged on rho (sequential averaged maps, or the
-    Lindblad step in the continuum regime). Discrete kernels act one clause at
-    a time through its violating vector and index table; the continuum
-    kernels apply dense observable stacks.
+    Lindblad step in the continuum regime). Each kernel is the dynamics
+    function itself and advances all m clauses by dt in one call: the
+    discrete ones through violating vectors and the index tables bound here,
+    the continuum ones through dense observable stacks. Kernels are looked up
+    in this module when a run starts, so patches of these names (tracing,
+    profiling) reach every call.
     """
     sampled = rng is not None
     cs.require_memory("dense" if cfg.continuum else "psi" if sampled else "rho")
     state = plus_state(cs.n) if sampled else plus_density(cs.n)
     if cfg.continuum:
-        operators, kernel = cs.observables, sme_step if sampled else _lindblad
+        operators, kernel = cs.observables, sme_step if sampled else lindblad_step
     else:
         operators = cs.violating_vectors
-        kernel = partial(kraus_measure if sampled else _average_maps, index=cs.index)
+        kernel = partial(kraus_measure if sampled else average_map, index=cs.index)
     if sampled:
         mode, keys = "heralded-single", ("purity", "z", "r", "rbar")
         fs = FilterState(cfg.filter_config(horizon), (cs.m,))
@@ -190,9 +176,11 @@ def _evolve(
     for step in range(1, steps + 1):
         t = step * cfg.dt
         theta = cfg.schedule.theta(t / horizon)
-        state, readouts = kernel(state, operators(theta), cfg.tau, cfg.dt, rng)
         if sampled:
+            state, readouts = kernel(state, operators(theta), cfg.tau, cfg.dt, rng)
             fs.update(readouts)
+        else:
+            state = kernel(state, operators(theta), cfg.tau, cfg.dt)
         if rec.want(step):
             rec.push(
                 t=t,

@@ -178,6 +178,19 @@ def test_counts_below_one_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("option", [
+    ["--Tf", "inf"], ["--dt", "nan"], ["--dtm", "inf"], ["--tau", "nan"],
+    ["--schedule", "nan_schedule.json"],
+], ids=["tf-inf", "dt-nan", "dtm-inf", "tau-nan", "schedule-nan"])
+def test_non_finite_times_are_usage_errors(option, tmp_path, monkeypatch, capsys):
+    # refused before any step runs, with no traceback
+    monkeypatch.chdir(tmp_path)
+    Path("nan_schedule.json").write_text("[[0.0, 0.0], [NaN, 1.0], [1.0, 1.5707963267948966]]")
+    assert main(["solve", "builtin:unique2", *option]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err and captured.out == ""
+
+
 def test_solve_with_custom_schedule_file(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     sched.write_text(json.dumps([[0.0, 0.0], [0.5, 1.5], [1.0, 1.5707963267948966]]))

@@ -25,8 +25,8 @@ V_OBS = CLAUSES.violating_vectors(0.8)  # (3, 4): the same clauses, pure form
 
 
 def average(rho, i, tau, dt):
-    """average_map of clause i on rho, through its index table."""
-    return average_map(rho, V_OBS[i], CLAUSES.index[i], tau, dt)
+    """average_map of clause i alone on a copy of rho, through its index table."""
+    return average_map(rho.copy(), V_OBS[i:i + 1], tau, dt, CLAUSES.index[i:i + 1])
 
 
 def measure(psi, i, tau, dt, rng):
@@ -150,7 +150,7 @@ def test_average_map_matches_dense_map_on_complex_rho(case):
     for theta in (0.0, 0.6, math.pi / 2):
         for v, idx, x in zip(cs.violating_vectors(theta), cs.index,
                              cs.observables(theta)):
-            out = average_map(rho, v, idx, 1.5, 0.4)
+            out = average_map(rho.copy(), v[None], 1.5, 0.4, idx[None])
             assert np.max(np.abs(out - average_map_dense(rho, x, 1.5, 0.4))) < 1e-15
             validate_density(out)
 

@@ -93,7 +93,7 @@ def test_linear_schedule():
 
 
 def test_custom_schedule_interpolates():
-    s = Schedule(kind="custom", table=((0.0, 0.0), (0.5, 1.0), (1.0, math.pi / 2)))
+    s = Schedule(table=((0.0, 0.0), (0.5, 1.0), (1.0, math.pi / 2)))
     assert s.theta(0.25) == pytest.approx(0.5)
     assert s.theta(0.75) == pytest.approx((1.0 + math.pi / 2) / 2)
 
@@ -112,29 +112,33 @@ def _rebuilt_table_theta(table, fraction):
     ((0.0, 0.0), (0.999, 1e-3), (1.0, math.pi / 2)),
 ], ids=["bend", "jump-plateau", "late"])
 def test_custom_schedule_arrays_built_once_keep_theta_bitwise(table):
-    s = Schedule(kind="custom", table=table)
+    s = Schedule(table=table)
     for u in np.linspace(-0.1, 1.1, 601).tolist():
         assert s.theta(u) == _rebuilt_table_theta(table, u)
     # the cached arrays are not fields: equality and hashing see the table only
-    assert s == Schedule(kind="custom", table=table)
-    assert hash(s) == hash(Schedule(kind="custom", table=table))
+    assert s == Schedule(table=table)
+    assert hash(s) == hash(Schedule(table=table))
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        Schedule(kind="quadratic")
+        Schedule(table=((0.0, 0.0),))
     with pytest.raises(ValueError):
-        Schedule(kind="custom", table=((0.0, 0.0),))
+        Schedule(table=((0.0, 0.5), (1.0, math.pi / 2)))  # theta(0) != 0
     with pytest.raises(ValueError):
-        Schedule(kind="custom", table=((0.0, 0.5), (1.0, math.pi / 2)))  # theta(0) != 0
-    with pytest.raises(ValueError):
-        Schedule(kind="custom", table=((0.0, 0.0), (1.0, 1.0)))  # theta(1) != pi/2
+        Schedule(table=((0.0, 0.0), (1.0, 1.0)))  # theta(1) != pi/2
     with pytest.raises(ValueError):
         Schedule(
-            kind="custom", table=((0.0, 0.0), (0.6, 1.2), (0.4, 0.3), (1.0, math.pi / 2))
+            table=((0.0, 0.0), (0.6, 1.2), (0.4, 0.3), (1.0, math.pi / 2))
         )  # non-monotone fractions
-    with pytest.raises(ValueError):
-        Schedule(kind="linear", table=((0.0, 0.0), (1.0, math.pi / 2)))
+
+
+@pytest.mark.parametrize("row", [(math.nan, 1.0), (0.5, math.nan), (0.5, math.inf)],
+                         ids=["nan-fraction", "nan-theta", "inf-theta"])
+def test_schedule_refuses_non_finite_entries(row):
+    # a NaN compares false with every bound, so it would pass the order checks
+    with pytest.raises(ValueError, match="finite"):
+        Schedule(table=((0.0, 0.0), row, (1.0, math.pi / 2)))
 
 
 # ---------------------------------------------------------------- projectors
@@ -259,21 +263,22 @@ def test_refusal_constant_follows_measured_step_peak():
     cs = ClauseSet(f)
     assert cs.m == 28
     stack = 8 * cs.m * cs.dim**2
-    states = {"_lindblad": plus_density(f.num_vars), "sme_step": plus_state(f.num_vars)}
+    states = {"lindblad_step": plus_density(f.num_vars), "sme_step": plus_state(f.num_vars)}
     cs.observables(0.0)  # the cached basis is counted apart from a step's peak
     peaks = {}
     for name, state in states.items():
         kernel = getattr(solver, name)
         tracemalloc.start()
         try:
-            kernel(state, cs.observables(0.7), 1.0, 0.01, np.random.default_rng(1))
+            rng = (np.random.default_rng(1),) if name == "sme_step" else ()
+            kernel(state, cs.observables(0.7), 1.0, 0.01, *rng)
             peaks[name] = tracemalloc.get_traced_memory()[1] / stack
         finally:
             tracemalloc.stop()
     assert all(peak < encoding._PEAK_STACKS for peak in peaks.values()), peaks
     assert max(peaks.values()) > encoding._PEAK_STACKS - 1, peaks
     # the psi step allocates no stack beyond the observables it is given
-    assert peaks["sme_step"] <= peaks["_lindblad"] + 0.1, peaks
+    assert peaks["sme_step"] <= peaks["lindblad_step"] + 0.1, peaks
 
 
 def test_pure_refusal_constant_follows_measured_step_peak():
@@ -294,14 +299,14 @@ def test_pure_refusal_constant_follows_measured_step_peak():
 
 def test_averaged_refusal_constant_follows_measured_step_peak():
     # a discrete averaged run counts its index tables plus _PEAK_DENSITIES
-    # density matrices, rho included; the sequential maps must peak below
-    # that, and within one density matrix of it
+    # density matrices, rho included; one averaged step of all m clauses, in
+    # place on rho, must peak below that, and within one density matrix of it
     f = random_instance(9, 4.3, 3, np.random.default_rng(0))
     cs = ClauseSet(f)
     rho, index, vs = plus_density(f.num_vars), cs.index, cs.violating_vectors(0.7)
     tracemalloc.start()
     try:
-        out, _ = solver._average_maps(rho, vs, 1.0, 0.25, None, index=index)
+        out = solver.average_map(rho, vs, 1.0, 0.25, index=index)
         peak = tracemalloc.get_traced_memory()[1] / rho.nbytes
     finally:
         tracemalloc.stop()

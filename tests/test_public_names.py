@@ -1,6 +1,7 @@
 """Guard against test-only code in the package: every public module-level
-function, class or constant of ``src/zenosat`` must be read somewhere in the
-package or in the benchmark, not only by the tests. Re-exports in
+function, class or constant of ``src/zenosat``, and every public method,
+property or dataclass field of its public classes, must be read somewhere in
+the package or in the benchmark, not only by the tests. Re-exports in
 ``__init__.py`` and the benchmark's own tests do not count as readers. A name
 the tests alone need belongs in ``tests/oracles.py``.
 """
@@ -12,16 +13,31 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "zenosat"
 
 
+def _members(cls: ast.ClassDef) -> list[str]:
+    """Methods and properties (functions in the body) and dataclass fields."""
+    return [
+        node.name if isinstance(node, ast.FunctionDef) else node.target.id
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        or isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+
+
 def _public_definitions(tree: ast.Module) -> list[str]:
+    """Public module-level names, and Class.member for each public class."""
     names = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.FunctionDef):
             names.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.append(node.name)
+            if not node.name.startswith("_"):
+                names += [f"{node.name}.{member}" for member in _members(node)]
         elif isinstance(node, ast.Assign):
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [name for name in names if not name.startswith("_")]
+    return [name for name in names if not name.rpartition(".")[2].startswith("_")]
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -48,6 +64,6 @@ def test_every_public_name_has_a_reader_outside_the_tests():
         f"{module.stem}.{name}"
         for module in sorted(PACKAGE.glob("*.py"))
         for name in _public_definitions(ast.parse(module.read_text()))
-        if name not in read
+        if name.rpartition(".")[2] not in read
     ]
     assert not unread, f"read only by tests, move to tests/oracles.py: {unread}"

@@ -17,6 +17,7 @@ from zenosat.satcore import (
     TWO_SAT_TWO_SOLUTIONS,
     TWO_SAT_UNIQUE,
     TWO_SAT_UNSAT,
+    _ENUM_CAP,
     clause,
     enumerate_solutions,
     evaluate,
@@ -133,9 +134,12 @@ def test_builtin_problem_solution_sets():
 
 
 def test_enumeration_cap():
-    f = formula(2, (1, 2))
-    with pytest.raises(SatError):
-        enumerate_solutions(f, max_vars=1)
+    # refused before any assignment table is built
+    f = formula(_ENUM_CAP + 1, (1, 2))
+    with pytest.raises(SatError, match="refusing brute force"):
+        enumerate_solutions(f)
+    with pytest.raises(SatError, match="refusing brute force"):
+        is_satisfiable(f)
 
 
 @st.composite

@@ -69,6 +69,14 @@ def test_run_config_validation():
         cfg_with(record_every=-1)
 
 
+@pytest.mark.parametrize("key", ["t_f", "dt", "dt_m", "tau"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_run_config_refuses_non_finite_times(key, value):
+    # inf t_f would overflow the step count and NaN tau would run to the end
+    with pytest.raises(ValueError, match="finite"):
+        cfg_with(**{key: value})
+
+
 def test_continuum_dispatch_threshold():
     assert cfg_with(dt=0.02).continuum
     assert not cfg_with(dt=0.021).continuum
@@ -145,9 +153,9 @@ def test_continuum_final_states_are_pinned():
 # the schedule rests at theta = 0, at mid-schedule or moves linearly, so a
 # whole run covers each part
 PLATEAUS = {
-    "theta0": Schedule("custom", ((0.0, 0.0), (0.99, 0.0), (1.0, math.pi / 2))),
-    "mid": Schedule("custom", ((0.0, 0.0), (0.01, math.pi / 4), (0.99, math.pi / 4),
-                               (1.0, math.pi / 2))),
+    "theta0": Schedule(((0.0, 0.0), (0.99, 0.0), (1.0, math.pi / 2))),
+    "mid": Schedule(((0.0, 0.0), (0.01, math.pi / 4), (0.99, math.pi / 4),
+                     (1.0, math.pi / 2))),
     "linear": Schedule(),
 }
 
@@ -436,7 +444,7 @@ def test_run_full_seeds_are_reproducible():
 def test_custom_schedule_is_used():
     table = ((0.0, 0.0), (0.2, math.pi / 2), (1.0, math.pi / 2))
     cfg = cfg_with(
-        t_f=10.0, dt=0.5, schedule=Schedule(kind="custom", table=table),
+        t_f=10.0, dt=0.5, schedule=Schedule(table=table),
         record_every=1,
     )
     out = run_average(TWO_SAT_UNIQUE, cfg)

@@ -1,8 +1,8 @@
 """The benchmark's tracer wraps the kernels where ``zenosat.solver`` looks them
-up at call time and reads the shape of their second argument; a traced run of
-each clause-local mode and of the continuum trajectory must keep working and
-must count its kernel's calls, so that a renamed or import-time-bound kernel
-fails here first.
+up when a run starts and reads the shape of their second argument; a traced
+run of each clause-local mode and of the continuum trajectory must keep
+working and must count its kernel's calls, one per step for the discrete
+kernels, so that a renamed or import-time-bound kernel fails here first.
 """
 
 import json
@@ -32,6 +32,7 @@ def test_traced_benchmark_counts_kernel(workload):
     assert last["correct"] and last["failed"] == 0, last
     metrics = last["metrics"]
     assert metrics[f"dynamics.{KERNELS[workload]}.calls"]["value"] > 0
-    if workload == "herald_n6_disc":
-        # the discrete sampled kernel measures every clause in one call per step
-        assert metrics["dynamics.kraus_measure.calls"]["value"] == metrics["solver.steps"]["value"]
+    if workload in ("herald_n6_disc", "avg_n9_dense"):
+        # the discrete kernels advance every clause in one call per step
+        calls = metrics[f"dynamics.{KERNELS[workload]}.calls"]["value"]
+        assert calls == metrics["solver.steps"]["value"]
