@@ -65,18 +65,25 @@ class Schedule:
             raise ValueError("schedule must run from theta=0 to theta=pi/2")
         object.__setattr__(self, "_columns", np.array([us, ths], dtype=float))
 
-    def theta(self, fraction: float) -> float:
-        u = min(max(fraction, 0.0), 1.0)
+    def theta(self, fraction):
+        """theta at the fraction clipped to [0, 1]: a float for a scalar
+        fraction, an array of the same shape for an array of fractions."""
+        u = np.clip(fraction, 0.0, 1.0)
         if self.table is None:
-            return (math.pi / 2.0) * u
-        us, ths = self._columns
-        return float(np.clip(np.interp(u, us, ths), 0.0, math.pi / 2.0))
+            theta = (math.pi / 2.0) * u
+        else:
+            us, ths = self._columns
+            theta = np.clip(np.interp(u, us, ths), 0.0, math.pi / 2.0)
+        return float(theta) if np.ndim(theta) == 0 else theta
 
 
 # Peak of the arrays one solver step allocates, its state included and its
-# index tables and operator basis not, measured with tracemalloc. Continuum
-# steps, in (m, 2^n, 2^n) stacks at n = 7, m = 28 (observables plus kernel):
-# lindblad_step 3.00, sme_step on psi 1.01 (the observables and (m, 2^n) X_i psi).
+# index tables and operator basis not, measured with tracemalloc. The solver
+# builds the operators of several steps at once only within its 256 KiB
+# budget, so a stack larger than half of that is built one step at a time and
+# counted once here. Continuum steps, in (m, 2^n, 2^n) stacks at n = 7, m = 28
+# (observables plus kernel): lindblad_step 3.00, sme_step on psi 1.01 (the
+# observables and (m, 2^n) X_i psi).
 # Pure Kraus steps (all m clauses in place on psi), in 2^n-vectors: 5.23 at
 # n = 12, m = 52 and 4.15 at n = 14, m = 60 (psi, one clause's gathered block,
 # and its rank-1 update with the ufunc's temporaries). Averaged steps (all m
@@ -143,8 +150,8 @@ class ClauseSet:
         self.require_memory()
         size = 2 * self.k + 1
         angles = 2.0 * math.pi * np.arange(size) / size
-        g = (-4.0 / size) * np.array([self._harmonics(t) for t in angles])
-        vs = np.array([self.violating_vectors(t) for t in angles])
+        g = (-4.0 / size) * self._harmonics(angles)
+        vs = self.violating_vectors(angles)
         local = np.einsum("jb,jmp,jmq->bmpq", g, vs, vs)
         local[0] /= 2.0  # |g_0|^2 = 2k+1, the others (2k+1)/2
         basis = np.zeros((size, self.m, self.dim, self.dim))
@@ -154,15 +161,20 @@ class ClauseSet:
         basis[0].reshape(self.m, -1)[:, :: self.dim + 1] += 1.0
         return basis.reshape(size, -1)
 
-    def observables(self, theta: float) -> np.ndarray:
-        """(m, 2^n, 2^n) stacked X_i(theta) = 1 - 2 P_i(theta)."""
-        return (self._harmonics(theta) @ self._basis).reshape(self.m, self.dim, -1)
+    def observables(self, theta) -> np.ndarray:
+        """(m, 2^n, 2^n) stacked X_i(theta) = 1 - 2 P_i(theta); an array of
+        S angles gives (S, m, 2^n, 2^n) from one matmul."""
+        g = self._harmonics(theta)
+        return (g @ self._basis).reshape(g.shape[:-1] + (self.m, self.dim, self.dim))
 
-    def _harmonics(self, theta: float) -> np.ndarray:
-        g = [1.0]
-        for j in range(1, self.k + 1):
-            g += (math.cos(j * theta), math.sin(j * theta))
-        return np.array(g)
+    def _harmonics(self, theta) -> np.ndarray:
+        """(..., 2k+1) g(theta) = (1, cos t, sin t, ..., cos kt, sin kt)."""
+        jt = np.multiply.outer(theta, np.arange(1, self.k + 1))
+        g = np.empty(jt.shape[:-1] + (2 * self.k + 1,))
+        g[..., 0] = 1.0
+        np.cos(jt, out=g[..., 1::2])
+        np.sin(jt, out=g[..., 2::2])
+        return g
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -177,18 +189,22 @@ class ClauseSet:
             for qs in self._qubits.tolist()
         ])
 
-    def violating_vectors(self, theta: float) -> np.ndarray:
+    def violating_vectors(self, theta) -> np.ndarray:
         """(m, 2^k) product of each clause's violating single-qubit states,
         in literal order, at theta: the state orthogonal to the literal's
         encoded satisfying one, u = (-s - c, c - s)/sqrt 2 = ry(pi + theta)|+>
         for a positive literal and u = (s - c, c + s)/sqrt 2 = ry(pi - theta)|+>
-        for a negated one, with c, s = cos, sin(theta/2)."""
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        u = np.array([[-s - c, c - s], [s - c, c + s]]) / math.sqrt(2.0)
-        factors = u[self._signs]  # (m, k, 2)
-        v = factors[:, 0]
+        for a negated one, with c, s = cos, sin(theta/2). An array of S
+        angles gives (S, m, 2^k)."""
+        half = np.divide(theta, 2.0)
+        c, s = np.cos(half), np.sin(half)
+        u = np.stack([-s - c, c - s, s - c, c + s], axis=-1) / math.sqrt(2.0)
+        u = u.reshape(u.shape[:-1] + (2, 2))  # (..., sign, 2)
+        factors = np.take(u, self._signs, axis=-2)  # (..., m, k, 2), step-major
+        v = factors[..., 0, :]
         for j in range(1, self.k):
-            v = (v[:, :, None] * factors[:, j, None, :]).reshape(self.m, -1)
+            v = v[..., :, None] * factors[..., j, None, :]
+            v = v.reshape(v.shape[:-2] + (-1,))
         return v
 
 

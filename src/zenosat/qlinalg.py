@@ -45,8 +45,8 @@ def plus_density(n: int) -> np.ndarray:
 
 
 def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2)."""
-    return float(np.real(np.sum(rho * rho.conj().T)))
+    """Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho."""
+    return float(np.vdot(rho, rho).real)
 
 
 def fidelity_pure(rho: np.ndarray, phi: np.ndarray) -> float:

@@ -31,6 +31,10 @@ from .satcore import (
 
 MODES = ("average", "heralded-single", "heralded-restart")
 _CONTINUUM_THRESHOLD = 0.02  # dt/tau at or below which continuum kernels run
+# Bytes of clause operators built at once for a block of steps, which holds
+# at least one step: several continuum steps up to n = 4, hundreds at n = 2.
+_BLOCK_BYTES = 256 * 1024
+_THETA_STEPS = 4096  # steps whose angles one schedule evaluation covers, at least
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,21 @@ class _Recorder:
         return {key: np.asarray(val) for key, val in self.data.items()}
 
 
+def _step_operators(operators, block: int, cfg: RunConfig, horizon: float, steps: int):
+    """Yield (step, theta, clause operators) for steps 1..steps, theta a
+    float. One vectorised call builds the operators of ``block`` steps, and
+    one the angles of whole blocks covering about _THETA_STEPS steps, so a
+    run that builds its operators one step at a time still evaluates its
+    schedule in bulk."""
+    span = block * max(1, _THETA_STEPS // block)
+    for first in range(1, steps + 1, span):
+        fractions = np.arange(first, min(first + span, steps + 1)) * cfg.dt / horizon
+        thetas = cfg.schedule.theta(fractions)
+        for at in range(0, thetas.size, block):
+            part = thetas[at : at + block]
+            yield from zip(range(first + at, steps + 1), part.tolist(), operators(part))
+
+
 def _evolve(
     cs: ClauseSet,
     cfg: RunConfig,
@@ -157,15 +176,24 @@ def _evolve(
     the continuum ones through dense observable stacks. Kernels are looked up
     in this module when a run starts, so patches of these names (tracing,
     profiling) reach every call.
+
+    theta and the clause operators depend only on the step, so they are
+    built ahead in vectorised calls, then the kernel is called once per step
+    on that step's operators. A block holds as many steps' operators as fit
+    in _BLOCK_BYTES and at least one, so a continuum run whose one-step stack
+    exceeds half the budget (n >= 5 at the usual clause counts) builds one
+    stack per step, as the memory refusal counts.
     """
     sampled = rng is not None
     cs.require_memory("dense" if cfg.continuum else "psi" if sampled else "rho")
     state = plus_state(cs.n) if sampled else plus_density(cs.n)
     if cfg.continuum:
         operators, kernel = cs.observables, sme_step if sampled else lindblad_step
+        step_bytes = 8 * cs.m * cs.dim**2
     else:
         operators = cs.violating_vectors
         kernel = partial(kraus_measure if sampled else average_map, index=cs.index)
+        step_bytes = 8 * cs.m * (1 << cs.k)
     if sampled:
         mode, keys = "heralded-single", ("purity", "z", "r", "rbar")
         fs = FilterState(cfg.filter_config(horizon), (cs.m,))
@@ -173,14 +201,15 @@ def _evolve(
         mode, keys = "average", ("purity", "z")
     steps = _num_steps(horizon, cfg.dt)
     rec = _Recorder(cfg.record_every, keys)
-    for step in range(1, steps + 1):
+    block = max(1, _BLOCK_BYTES // step_bytes)
+    for step, theta, ops in _step_operators(operators, block, cfg, horizon, steps):
         t = step * cfg.dt
-        theta = cfg.schedule.theta(t / horizon)
         if sampled:
-            state, readouts = kernel(state, operators(theta), cfg.tau, cfg.dt, rng)
+            state, readouts = kernel(state, ops, cfg.tau, cfg.dt, rng)
             fs.update(readouts)
         else:
-            state = kernel(state, operators(theta), cfg.tau, cfg.dt)
+            state = kernel(state, ops, cfg.tau, cfg.dt)
+        del ops  # so the next block is built in the cache-warm memory this one frees
         if rec.want(step):
             rec.push(
                 t=t,

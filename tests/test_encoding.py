@@ -120,6 +120,20 @@ def test_custom_schedule_arrays_built_once_keep_theta_bitwise(table):
     assert hash(s) == hash(Schedule(table=table))
 
 
+@pytest.mark.parametrize("table", [
+    None,
+    ((0.0, 0.0), (0.5, 1.0), (1.0, math.pi / 2)),
+    ((0, 0), (0.25, 0.2), (0.25, 0.4), (0.7, 0.4), (1, math.pi / 2)),
+], ids=["linear", "bend", "jump-plateau"])
+def test_schedule_theta_of_an_array_is_the_stacked_scalar_thetas(table):
+    s = Schedule(table=table)
+    us = np.linspace(-0.3, 1.3, 801)
+    scalars = [s.theta(u) for u in us.tolist()]
+    assert all(type(th) is float for th in scalars)
+    assert np.array_equal(s.theta(us), scalars)
+    assert s.theta(us.reshape(-1, 3)).shape == (267, 3)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(table=((0.0, 0.0),))
@@ -209,6 +223,21 @@ def test_observable_basis_matches_per_clause_reference(case):
         xs = cs.observables(theta)
         for x, ref in zip(xs, refs):
             assert np.max(np.abs(x - ref.observable(theta))) < 1e-14
+
+
+@pytest.mark.parametrize("case", sorted(BASIS_CASES))
+def test_clause_operators_of_an_array_are_the_stacked_scalar_ones(case):
+    # the solver builds a block of steps in one call; each step's operators
+    # must be the ones a scalar call gives, and laid out contiguously
+    cs = ClauseSet(BASIS_CASES[case])
+    thetas = np.linspace(-0.2, math.pi / 2 + 0.2, 37)
+    vs = cs.violating_vectors(thetas)
+    assert vs.flags.c_contiguous
+    assert np.array_equal(vs, [cs.violating_vectors(t) for t in thetas.tolist()])
+    xs = cs.observables(thetas)
+    assert xs.shape == (37, cs.m, cs.dim, cs.dim) and xs.flags.c_contiguous
+    scalars = np.array([cs.observables(t) for t in thetas.tolist()])
+    assert np.max(np.abs(xs - scalars)) <= 1e-15
 
 
 def test_basis_size_and_build_peak_are_counted_by_the_refusal(monkeypatch):

@@ -135,6 +135,18 @@ def test_purity_and_fidelity():
     assert fidelity_pure(np.eye(4) / 4, BELL) == pytest.approx(0.25)
 
 
+def test_purity_of_complex_states():
+    # sum rho_ij^2 would read 0 for |+i><+i|; Tr(rho^2) sums |rho_ij|^2
+    plus_i = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    assert purity(np.outer(plus_i, plus_i.conj())) == pytest.approx(1.0, abs=1e-15)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    assert purity(rho) == pytest.approx(np.trace(rho @ rho).real, abs=1e-14)
+    assert purity(rho) < 0.9  # rank 3, well away from pure
+
+
 def test_concurrence_anchors():
     assert concurrence_2q(density(BELL)) == pytest.approx(1.0)
     psi_minus = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)

@@ -18,7 +18,7 @@ from oracles import (
     trace_distance,
     unique_bias_success,
 )
-from zenosat import encoding
+from zenosat import encoding, solver
 from zenosat.encoding import ClauseSet, Schedule, solution_state
 from zenosat.qlinalg import (
     fidelity_pure,
@@ -148,6 +148,90 @@ def test_continuum_final_states_are_pinned():
     for name, f in formulas.items():
         rho = run_average(f, cfg).final_state
         assert np.max(np.abs(rho - np.array(pinned[name]))) < 1e-12, name
+
+
+# ---------------------------------------------------------------- step blocks
+
+# (formula, cfg, rng seed or None for an averaged run, steps per block): the
+# step count is no multiple of the block, and each abort falls mid-block
+BLOCK_CASES = {
+    "average-continuum":
+        (TWO_SAT_UNIQUE, cfg_with(t_f=10.0, dt=0.01, record_every=7), None, 7),
+    "heralded-discrete":
+        (TWO_SAT_UNIQUE, cfg_with(t_f=20.0, dt=0.25, record_every=3), 3, 7),
+    "abort-discrete": (TWO_SAT_UNSAT, cfg_with(t_f=20.0, dt=0.25, record_every=2), 0, 6),
+    "abort-continuum": (TWO_SAT_UNSAT, cfg_with(t_f=20.0, dt=0.01, record_every=50), 0, 7),
+}
+
+
+def _run_blocked(monkeypatch, case, steps_per_block):
+    f, cfg, seed, _ = BLOCK_CASES[case]
+    if steps_per_block is not None:
+        local = 4**f.num_vars if cfg.continuum else 2**f.k
+        step_bytes = 8 * f.num_clauses * local
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", steps_per_block * step_bytes)
+        monkeypatch.setattr(solver, "_THETA_STEPS", 20)  # angles of 2 blocks or 20 steps
+    if seed is None:
+        return run_average(f, cfg)
+    return run_heralded_single(f, cfg, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_step_blocks_do_not_change_the_run(case, monkeypatch):
+    # theta and the clause operators are built a block of steps at a time;
+    # where the blocks end must not show in the run
+    f, cfg, seed, block = BLOCK_CASES[case]
+    default = _run_blocked(monkeypatch, case, None)
+    steps = round(default.consumed_time / cfg.dt)
+    assert steps % block != 0
+    assert default.failed == case.startswith("abort")
+    for steps_per_block in (block, 1):
+        out = _run_blocked(monkeypatch, case, steps_per_block)
+        assert (out.consumed_time, out.failed_at, out.failed_clause) == (
+            default.consumed_time, default.failed_at, default.failed_clause)
+        for key in ("t", "theta"):
+            assert np.array_equal(out.diagnostics[key], default.diagnostics[key])
+        if default.failed:
+            continue
+        if cfg.continuum:  # a matmul over another number of steps may round apart
+            assert np.max(np.abs(out.final_state - default.final_state)) < 1e-14
+        else:
+            assert np.array_equal(out.final_state, default.final_state)
+
+
+def test_reported_times_stay_python_floats():
+    # JSON and CSV output print these; a NumPy scalar reprs as np.float64(...)
+    completed = run_full(TWO_SAT_UNIQUE, cfg_with(t_f=2.0, dt=0.01, record_every=10))
+    aborted = run_heralded_single(
+        TWO_SAT_UNSAT, cfg_with(t_f=20.0, dt=0.25, record_every=4), np.random.default_rng(0)
+    )
+    assert aborted.failed and type(aborted.failed_at) is float
+    for out in (completed, aborted):
+        assert type(out.consumed_time) is float
+        for key in ("t", "theta"):
+            assert out.diagnostics[key].dtype == np.float64
+
+
+def test_continuum_stack_over_the_budget_builds_one_step_per_call(monkeypatch):
+    # a one-step stack larger than the block budget is built alone, so a step
+    # holds one (m, 2^n, 2^n) stack as the dense memory refusal counts
+    shapes = []
+    observables = ClauseSet.observables
+
+    def counting(self, theta):
+        shapes.append(np.shape(theta))
+        return observables(self, theta)
+
+    monkeypatch.setattr(ClauseSet, "observables", counting)
+    f = random_instance(6, 4.3, 3, np.random.default_rng(5))
+    assert 8 * f.num_clauses * 4**6 > solver._BLOCK_BYTES
+    run_average(f, cfg_with(t_f=0.2, dt=0.01))
+    assert shapes == [(1,)] * 20
+    shapes.clear()
+    run_average(TWO_SAT_UNIQUE, cfg_with(t_f=10.0, dt=0.01))
+    block = solver._BLOCK_BYTES // (8 * TWO_SAT_UNIQUE.num_clauses * 4**2)
+    assert block > 1 and len(shapes) == math.ceil(1000 / block)
+    assert shapes[0] == (block,) and sum(s[0] for s in shapes) == 1000
 
 
 # the schedule rests at theta = 0, at mid-schedule or moves linearly, so a
