@@ -6,21 +6,26 @@ self-consistent readout generation.
 All kernels take clause operators rather than clause objects, so callers
 control how and when operators are rebuilt as theta moves: clause violating
 vectors v on their own qubits for the discrete kernels (a projector P is
-v v^T there) with the index tables that gather a state into each clause's
-block, stacked observables X = 1 - 2P for the continuum ones. They are
+v v^T there) with the index tables that give each clause's block of the
+state, stacked observables X = 1 - 2P for the continuum ones. They are
 followed by the measurement time tau and the step dt. Every kernel advances
-all m clauses by one step dt in a single call. The two sampled kernels act
-on state vectors and also return the m readouts, the two averaged ones on
-density matrices. Readout samples carry units of tau^(-1/2).
+all m clauses by one step dt in a single call. The discrete Kraus step holds
+the state in each clause's frame in turn, one permutation per clause, and
+normalizes it once per step; the averaged map gathers rows of rho per
+clause. The two sampled kernels act on state vectors and also return the m
+readouts, the two averaged ones on density matrices. Readout samples carry
+units of tau^(-1/2).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+
+from .encoding import frame_permutations
 
 
 def _check_times(tau: float, dt: float, first_order: bool = False) -> None:
@@ -48,43 +53,62 @@ def kraus_measure(
     dt: float,
     rng: np.random.Generator,
     index: np.ndarray,
+    frames: Optional[Sequence[np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generalized measurement of every clause in turn on a pure state,
     in place on psi; returns psi and the m readouts.
 
     ``vs`` holds the (m, 2^k) violating vectors and ``index`` the
-    (m, 2^k, 2^(n-k)) basis-index tables, so that block = psi[index[i]] runs
-    over clause i's qubits by row and P_i acts as v (x) amp, amp = v^T block.
+    (m, 2^k, 2^(n-k)) basis-index tables. The step holds the state in one
+    clause's frame at a time, as the block phi = psi[index[i]] whose rows run
+    over clause i's qubits, so P_i acts as v (x) amp with amp = v^T phi. One
+    permutation per clause, phi.ravel()[frames[i + 1]], moves it into the
+    next clause's frame, and the last one back to natural order. ``frames``
+    is ClauseSet.frames, the m+1 permutations derived from ``index``; without
+    it the call derives them row by row, with the same result.
+
     The readout r follows the exact two-Gaussian mixture with weights 1 - p
     and p = |amp|^2, means +-1/sqrt(tau) and variance 1/dt; sampling draws the
     branch then the Gaussian, which reproduces the mixture exactly. The update
     applies the Kraus operator M_r = a+ (1 - P) + a- P for that r, whose
     amplitudes a+- = e^(-dt (r -+ 1/sqrt(tau))^2 / 4) have the ratio
     a-/a+ = e^(-dt r/sqrt(tau)). M_r is scaled so that the larger of them is 1,
-    which keeps the strong-measurement limit dt/tau >> 1 finite, and
-    normalized by |M_r psi|^2 = a+^2 (|psi|^2 - p) + a-^2 p; reading |psi|^2
-    rather than taking it as 1 keeps rounding from accumulating in the norm.
+    which keeps the strong-measurement limit dt/tau >> 1 finite: phi becomes
+    a+ phi + (a- - a+) v (x) amp, the a+ factor applied only when it is below
+    1. phi is left unnormalized: a float scale, 1/|psi| at the start of the
+    step and then divided by |M_r psi| = sqrt(a+^2 (1 - p) + a-^2 p) per
+    clause, turns |amp|^2 into p. phi is normalized once, by its own norm on
+    the way back to natural order, so rounding cannot build up in the norm
+    across steps, nor within one through the cancellation in (1 - P) phi.
     """
     _check_times(tau, dt)
     inv_sqrt_tau = 1.0 / math.sqrt(tau)
     sigma = 1.0 / math.sqrt(dt)
-    readouts = np.empty(len(vs))
-    for i, (v, idx) in enumerate(zip(vs, index)):
-        block = psi[idx]
-        amp = v.dot(block)
-        p = amp.dot(amp)
+    perms = iter(frame_permutations(index) if frames is None else frames)
+    scale = 1.0 / math.sqrt(psi.dot(psi))
+    phi = psi[next(perms)]
+    readouts = []
+    for v, column, perm in zip(vs, vs[:, :, None], perms):
+        amp = v.dot(phi)
+        p = float(amp.dot(amp)) * scale * scale
         mean = inv_sqrt_tau
-        if rng.random() >= min(max(1.0 - p, 0.0), 1.0):
+        if rng.random() >= 1.0 - p:
             mean = -mean
-        readouts[i] = r = rng.normal(mean, sigma)
+        r = rng.normal(mean, sigma)
+        readouts.append(r)
         x = dt * r * inv_sqrt_tau  # ln(a+/a-)
-        a_plus, a_minus = (1.0, math.exp(-x)) if x >= 0.0 else (math.exp(x), 1.0)
-        norm = math.sqrt(a_plus * a_plus * (psi.dot(psi) - p) + a_minus * a_minus * p)
-        block *= a_plus / norm
-        amp *= (a_minus - a_plus) / norm
-        block += np.multiply.outer(v, amp)
-        psi[idx] = block
-    return psi, readouts
+        if x >= 0.0:
+            a_plus, a_minus = 1.0, math.exp(-x)
+        else:
+            a_plus, a_minus = math.exp(x), 1.0
+            phi *= a_plus
+        scale /= math.sqrt(a_plus * a_plus * (1.0 - p) + a_minus * a_minus * p)
+        amp *= a_minus - a_plus
+        phi += np.dot(column, amp[None])  # column * amp takes 64 KiB of ufunc buffers
+        phi = phi.ravel()[perm]
+    phi = phi.ravel()
+    np.multiply(phi, 1.0 / math.sqrt(phi.dot(phi)), out=psi)
+    return psi, np.array(readouts)
 
 
 def average_map(

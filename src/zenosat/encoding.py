@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -78,15 +78,17 @@ class Schedule:
 
 
 # Peak of the arrays one solver step allocates, its state included and its
-# index tables and operator basis not, measured with tracemalloc. The solver
-# builds the operators of several steps at once only within its 256 KiB
-# budget, so a stack larger than half of that is built one step at a time and
-# counted once here. Continuum steps, in (m, 2^n, 2^n) stacks at n = 7, m = 28
-# (observables plus kernel): lindblad_step 3.00, sme_step on psi 1.01 (the
-# observables and (m, 2^n) X_i psi).
-# Pure Kraus steps (all m clauses in place on psi), in 2^n-vectors: 5.23 at
-# n = 12, m = 52 and 4.15 at n = 14, m = 60 (psi, one clause's gathered block,
-# and its rank-1 update with the ufunc's temporaries). Averaged steps (all m
+# index tables, frame permutations and operator basis not, measured with
+# tracemalloc. The solver builds the operators of several steps at once only
+# within its 256 KiB budget, so a stack larger than half of that is built one
+# step at a time and counted once here. Continuum steps, in (m, 2^n, 2^n)
+# stacks at n = 7, m = 28 (observables plus kernel): lindblad_step 3.00,
+# sme_step on psi 1.01 (the observables and (m, 2^n) X_i psi).
+# Pure Kraus steps (all m clauses in place on psi), in 2^n-vectors: 3.25 at
+# n = 12, m = 52 and 3.14 at n = 14, m = 60 (psi, the state in one clause's
+# frame while it moves to the next, and the rank-1 update), given the frame
+# permutations; 5.48 and 5.19 when the kernel derives them in the call (two
+# more permutation rows). The constant covers both. Averaged steps (all m
 # clauses in place on rho), in density matrices: 3.38 at n = 9, m = 39 and
 # n = 10, m = 43 (rho, W, one clause's gathered rows or the outer product
 # scattered into W, and 2^-k-sized row and column gathers). Small arrays and
@@ -101,9 +103,13 @@ class ClauseSet:
 
     The (m, 2^k) violating vectors v_i(theta), the product of each clause's
     violating single-qubit states, and per clause a table of basis indices
-    that gathers a state vector psi (or the rows of a density matrix) into a
-    (2^k, 2^(n-k)) block, clause qubits first. The clause projector acts as
-    P_i psi = v_i (v_i^T block); the discrete kernels use it in that form.
+    that lays a state vector psi (or the rows of a density matrix) out as a
+    (2^k, 2^(n-k)) block, clause qubits first: clause i's frame. The clause
+    projector acts as P_i psi = v_i (v_i^T block); the discrete kernels use
+    it in that form. The averaged map gathers each clause's rows of rho
+    through its table. The Kraus step moves psi from frame to frame, with
+    the m+1 permutations of ``frames`` derived once from the tables, so each
+    clause costs one permutation rather than a gather and a scatter.
 
     The continuum kernels take dense (m, 2^n, 2^n) observable stacks
     X_i(theta) = 1 - 2 P_i(theta), sampled from a basis that scatters
@@ -123,14 +129,17 @@ class ClauseSet:
         """Raise ValueError when a run's per-step arrays would not fit in
         physical memory: the 2k+1 basis stacks plus _PEAK_STACKS dense operator
         stacks, or for the clause-local forms "psi" and "rho" the index tables
-        plus _PEAK_VECTORS state vectors or _PEAK_DENSITIES density matrices."""
+        (with the m+1 frame permutations for "psi") plus _PEAK_VECTORS state
+        vectors or _PEAK_DENSITIES density matrices."""
         stacks = _PEAK_STACKS + 2 * self.k + 1
-        floats, what = {
-            "dense": (stacks * self.m * self.dim**2, "dense operators per step"),
-            "psi": (_PEAK_VECTORS * self.dim, "index tables and state vectors"),
-            "rho": (_PEAK_DENSITIES * self.dim**2, "index tables and density matrices"),
+        floats, what, rows = {
+            "dense": (stacks * self.m * self.dim**2, "dense operators per step", 0),
+            "psi": (_PEAK_VECTORS * self.dim, "index tables and state vectors",
+                    2 * self.m + 1),
+            "rho": (_PEAK_DENSITIES * self.dim**2, "index tables and density matrices",
+                    self.m),
         }[form]
-        tables = 0 if form == "dense" else self.m * np.dtype(np.intp).itemsize * self.dim
+        tables = rows * np.dtype(np.intp).itemsize * self.dim
         need = 8 * floats + tables
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
@@ -189,6 +198,13 @@ class ClauseSet:
             for qs in self._qubits.tolist()
         ])
 
+    @cached_property
+    def frames(self) -> tuple[np.ndarray, ...]:
+        """The m+1 (2^k, 2^(n-k)) permutations of frame_permutations(index),
+        which carry a state vector through every clause's frame in turn; a
+        tuple, so that a step iterates it without making a view per row."""
+        return tuple(frame_permutations(self.index))
+
     def violating_vectors(self, theta) -> np.ndarray:
         """(m, 2^k) product of each clause's violating single-qubit states,
         in literal order, at theta: the state orthogonal to the literal's
@@ -206,6 +222,20 @@ class ClauseSet:
             v = v[..., :, None] * factors[..., j, None, :]
             v = v.reshape(v.shape[:-2] + (-1,))
         return v
+
+
+def frame_permutations(index: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the m+1 permutations that carry a state vector through the
+    frames of the (m, 2^k, 2^(n-k)) index tables in turn. Clause i's frame
+    holds psi as the block psi[index[i]]; the first permutation is index[0]
+    itself, which takes psi in natural order into clause 0's frame, and
+    block.ravel()[perm] takes a block to the next frame, after the last
+    clause back to natural order (as a block of the same shape)."""
+    inverse = None  # inverse[j]: where basis index j sits in the current frame
+    for idx in index:
+        yield idx if inverse is None else inverse[idx]
+        inverse = np.argsort(idx, axis=None)
+    yield inverse.reshape(idx.shape)
 
 
 def solution_state(f: CnfFormula, s: Assignment, theta: float) -> np.ndarray:

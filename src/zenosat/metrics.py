@@ -5,7 +5,6 @@ exponential scaling fits.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,6 +83,9 @@ def phase_transition_point(
         f = random_instance(n, alpha, k, rng)
         tasks.append((f, cfg, shots, int(rng.integers(2**63))))
     if jobs > 1:
+        # imported here: multiprocessing would add to every `import zenosat`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_decide_instance, tasks, chunksize=4))
     else:

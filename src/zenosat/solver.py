@@ -172,10 +172,12 @@ def _evolve(
     the evolution is readout-averaged on rho (sequential averaged maps, or the
     Lindblad step in the continuum regime). Each kernel is the dynamics
     function itself and advances all m clauses by dt in one call: the
-    discrete ones through violating vectors and the index tables bound here,
-    the continuum ones through dense observable stacks. Kernels are looked up
-    in this module when a run starts, so patches of these names (tracing,
-    profiling) reach every call.
+    discrete ones through violating vectors and the index tables bound here
+    (for the Kraus step also the frame permutations, so that it moves psi
+    from one clause's frame to the next with one permutation per clause and
+    normalizes it once per step), the continuum ones through dense
+    observable stacks. Kernels are looked up in this module when a run
+    starts, so patches of these names (tracing, profiling) reach every call.
 
     theta and the clause operators depend only on the step, so they are
     built ahead in vectorised calls, then the kernel is called once per step
@@ -192,7 +194,10 @@ def _evolve(
         step_bytes = 8 * cs.m * cs.dim**2
     else:
         operators = cs.violating_vectors
-        kernel = partial(kraus_measure if sampled else average_map, index=cs.index)
+        if sampled:
+            kernel = partial(kraus_measure, index=cs.index, frames=cs.frames)
+        else:
+            kernel = partial(average_map, index=cs.index)
         step_bytes = 8 * cs.m * (1 << cs.k)
     if sampled:
         mode, keys = "heralded-single", ("purity", "z", "r", "rbar")

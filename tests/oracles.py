@@ -1,10 +1,10 @@
 """Reference implementations the tests check zenosat against: direct, slow
 forms of what the package computes another way (dense clause operators
-embedded one clause at a time, the partial trace, the dense-rho Kraus step
-and averaged map, the integral form of the readout filter, a Heun Lindblad
-step), plus closed forms, Pauli matrices, the co-rotating frame, the Zeno
-diagnostic, the trace distance and a classical baseline solver that only
-tests use.
+embedded one clause at a time, the partial trace, the Kraus step gathered
+and scattered per clause, the dense-rho Kraus step and averaged map, the
+integral form of the readout filter, a Heun Lindblad step), plus closed
+forms, Pauli matrices, the co-rotating frame, the Zeno diagnostic, the trace
+distance and a classical baseline solver that only tests use.
 """
 
 import math
@@ -162,6 +162,40 @@ def lindblad_step_heun(
     k2 = deriv(rho + dt * k1)
     out = rho + 0.5 * dt * (k1 + k2)
     return out / np.trace(out).real
+
+
+def kraus_measure_gathered(
+    psi: np.ndarray,
+    vs: np.ndarray,
+    tau: float,
+    dt: float,
+    rng: np.random.Generator,
+    index: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``dynamics.kraus_measure`` as each clause's gather and scatter through
+    its index table: per clause it gathers block = psi[index[i]], draws the
+    same readout, applies M_r = a+ (1 - P) + a- P with the larger amplitude 1,
+    normalized by |M_r psi|^2 = a+^2 (|psi|^2 - p) + a-^2 p with |psi|^2 read
+    per clause, and scatters the block back, in place on psi."""
+    inv_sqrt_tau = 1.0 / math.sqrt(tau)
+    sigma = 1.0 / math.sqrt(dt)
+    readouts = np.empty(len(vs))
+    for i, (v, idx) in enumerate(zip(vs, index)):
+        block = psi[idx]
+        amp = v.dot(block)
+        p = amp.dot(amp)
+        mean = inv_sqrt_tau
+        if rng.random() >= min(max(1.0 - p, 0.0), 1.0):
+            mean = -mean
+        readouts[i] = r = rng.normal(mean, sigma)
+        x = dt * r * inv_sqrt_tau  # ln(a+/a-)
+        a_plus, a_minus = (1.0, math.exp(-x)) if x >= 0.0 else (math.exp(x), 1.0)
+        norm = math.sqrt(a_plus * a_plus * (psi.dot(psi) - p) + a_minus * a_minus * p)
+        block *= a_plus / norm
+        amp *= (a_minus - a_plus) / norm
+        block += np.multiply.outer(v, amp)
+        psi[idx] = block
+    return psi, readouts
 
 
 def kraus_measure_dense(

@@ -11,13 +11,14 @@ import pytest
 from oracles import (
     CLAUSE_LAYOUTS,
     average_map_dense,
+    kraus_measure_gathered,
     lindblad_step_heun,
     trace_distance,
 )
 from zenosat.dynamics import average_map, kraus_measure, lindblad_step, sme_step
 from zenosat.encoding import ClauseSet
 from zenosat.qlinalg import plus_density, plus_state, validate_density
-from zenosat.satcore import TWO_SAT_UNIQUE
+from zenosat.satcore import TWO_SAT_UNIQUE, random_instance
 
 CLAUSES = ClauseSet(TWO_SAT_UNIQUE)
 X_OBS = CLAUSES.observables(0.8)  # (3, 4, 4) stack
@@ -97,6 +98,32 @@ def test_kraus_fixes_eigenstates_and_readout_moments():
     # mean +1/sqrt(tau), variance 1/dt (sampling error ~ 3 sigma)
     assert abs(rs.mean() - 1.0) < 3.0 / math.sqrt(dt * len(rs))
     assert abs(rs.var() - 1.0 / dt) < 0.15 / dt
+
+
+KRAUS_CASES = {
+    **{f"n{n}": random_instance(n, 4.3, 3, np.random.default_rng(n)) for n in (4, 6, 10)},
+    **CLAUSE_LAYOUTS,
+}
+
+
+@pytest.mark.parametrize("case", sorted(KRAUS_CASES))
+def test_kraus_measure_matches_the_gathering_reference(case):
+    # one permutation per clause between clause frames and one normalization
+    # per step give the readouts of a gather and scatter per clause, and psi
+    # to rounding, over 400 steps of a sweep from theta = 0 to pi/2; the
+    # frames derived in the call give the same bits as ClauseSet.frames
+    cs = ClauseSet(KRAUS_CASES[case])
+    psi, ref, derived = plus_state(cs.n), plus_state(cs.n), plus_state(cs.n)
+    rng, rng_ref, rng_derived = (np.random.default_rng(9) for _ in range(3))
+    for step in range(1, 401):
+        vs = cs.violating_vectors(step * math.pi / 800)
+        psi, r = kraus_measure(psi, vs, 1.0, 0.25, rng, cs.index, cs.frames)
+        ref, r_ref = kraus_measure_gathered(ref, vs, 1.0, 0.25, rng_ref, cs.index)
+        derived, r_derived = kraus_measure(derived, vs, 1.0, 0.25, rng_derived, cs.index)
+        assert np.array_equal(r, r_ref), step
+        assert np.max(np.abs(psi - ref)) < 1e-14, step
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12, step
+        assert np.array_equal(r_derived, r) and np.array_equal(derived, psi), step
 
 
 def test_measurement_operators_resolve_identity():

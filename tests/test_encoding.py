@@ -192,6 +192,13 @@ def test_clause_set_matches_per_clause_reference(case):
         thetas = [0.8]
     cs = ClauseSet(f)
     psi = np.random.default_rng(99).normal(size=cs.dim)
+    # the m+1 frames carry psi through every clause's block and back
+    assert len(cs.frames) == cs.m + 1
+    block = psi[cs.frames[0]]
+    for idx, perm in zip(cs.index, cs.frames[1:]):
+        assert np.array_equal(block, psi[idx])
+        block = block.ravel()[perm]
+    assert np.array_equal(block.ravel(), psi)
     for theta in [0.0, *thetas, math.pi / 2]:
         xs = cs.observables(theta)
         vs = cs.violating_vectors(theta)
@@ -347,7 +354,9 @@ def test_averaged_refusal_constant_follows_measured_step_peak():
 def test_pure_run_needs_no_dense_memory(monkeypatch):
     f = random_instance(12, 4.3, 3, np.random.default_rng(0))
     cs = ClauseSet(f)
-    vectors = (np.dtype(np.intp).itemsize * cs.m + 8 * encoding._PEAK_VECTORS) * cs.dim
+    # the index tables and the m+1 frame permutations, plus the state vectors
+    tables = np.dtype(np.intp).itemsize * (2 * cs.m + 1)
+    vectors = (tables + 8 * encoding._PEAK_VECTORS) * cs.dim
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": vectors}
     monkeypatch.setattr(encoding.os, "sysconf", memory.__getitem__)
     cs.require_memory("psi")

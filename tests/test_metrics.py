@@ -3,6 +3,10 @@ rule, and exponential scaling fits.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +76,9 @@ def test_phase_transition_point_is_deterministic():
     p2 = phase_transition_point(3, 0.8, 2, cfg, 10, np.random.default_rng(5))
     assert p1 == p2
     assert 0.0 <= p1 <= 1.0
+    # two worker processes decide the same instances with the same seeds
+    p3 = phase_transition_point(3, 0.8, 2, cfg, 10, np.random.default_rng(5), jobs=2)
+    assert p3 == p1
 
 
 def test_phase_transition_curve_rows():
@@ -131,3 +138,20 @@ def test_polynomial_minimum_recovers_vertex():
     argmin, val = polynomial_minimum(xs, ys, degree=2)
     assert argmin == pytest.approx(1.7, abs=0.01)
     assert val == pytest.approx(0.3, abs=0.01)
+
+
+def test_import_does_not_load_multiprocessing():
+    # the process pool of phase_transition_point is imported when a run asks
+    # for jobs > 1, so `import zenosat` does not pay for multiprocessing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zenosat; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

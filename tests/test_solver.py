@@ -420,6 +420,30 @@ def test_pure_engine_matches_dense_kraus_path_in_the_projective_limit(case):
     assert np.max(np.abs(out.final_rho - rho)) < 1e-13
 
 
+@pytest.mark.parametrize("case", ["n6", *sorted(CLAUSE_LAYOUTS)])
+def test_pure_engine_matches_dense_kraus_path_at_intermediate_strength(case):
+    # at dt/tau = 400 the smaller Kraus amplitude is e^(-|x|) with |x| near
+    # 400: it does not underflow, but its square and the inverse square of a
+    # normalization carried as a+/|M_r psi| would, so psi must stay finite
+    # and follow the dense-rho path draw for draw. Ten steps, the theta
+    # increments of the projective-limit case, give the n6 run violating
+    # readouts (r < 0) ahead of further clauses in the same step.
+    if case == "n6":
+        f = random_instance(6, 4.3, 3, np.random.default_rng(6))
+    else:
+        f = CLAUSE_LAYOUTS[case]
+    cfg = cfg_with(t_f=4.0, dt=0.4, tau=1e-3, mode="heralded-single", record_every=1)
+    out = run_heralded_single(f, cfg, np.random.default_rng(5), detect=False)
+    rho, readouts = dense_heralded_run(f, cfg, np.random.default_rng(5))
+    x = cfg.dt * np.abs(readouts) / math.sqrt(cfg.tau)
+    assert 300.0 < x.min() and x.max() < 700.0
+    if case == "n6":
+        assert np.any(readouts[:, :-1] < 0.0)
+    assert np.all(np.isfinite(out.final_state))
+    assert np.array_equal(out.diagnostics["r"], readouts)
+    assert np.max(np.abs(out.final_rho - rho)) < 1e-13
+
+
 @pytest.mark.parametrize("case", ["unique2", "n5"])
 def test_continuum_heralded_runs_stay_physical(case):
     # a continuum trajectory holds psi from |+>^n: every final state is a unit
