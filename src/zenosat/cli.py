@@ -75,8 +75,7 @@ def _load_formula(spec: str) -> CnfFormula:
 def _load_schedule(spec: str) -> Schedule:
     if spec == "linear":
         return Schedule()
-    table = json.loads(Path(spec).read_text())
-    return Schedule(table=tuple(tuple(row) for row in table))
+    return Schedule(table=json.loads(Path(spec).read_text()))
 
 
 def _count(text: str) -> int:
@@ -318,6 +317,10 @@ def _coerce(value: str):
 _LIST_KEYS = (
     "tf_list", "n_list", "alphas", "gamma_tf", "tf_over_tau", "dt_over_tau", "modes"
 )
+_NUMBER_KEYS = tuple(key for key in _LIST_KEYS if key != "modes") + (
+    "seed", "tau", "dt", "dtm", "tf", "n", "k", "alpha", "instances", "shots",
+    "trajectories", "p_star", "record_every",
+)
 
 
 class _Spec(dict):
@@ -335,9 +338,12 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
         raise ValueError(f"unknown experiment kind {kind!r}")
     if "seed" not in spec:
         raise ValueError("experiment spec must declare a seed")
-    for key in _LIST_KEYS:
-        if key in spec and not isinstance(spec[key], list):
+    for key, value in spec.items():
+        if key in _LIST_KEYS and not isinstance(value, list):
             raise ValueError(f"{kind} spec key {key!r} must be a JSON array")
+        values = value if key in _LIST_KEYS else [value]
+        if key in _NUMBER_KEYS and any(type(v) not in (int, float) for v in values):
+            raise ValueError(f"{kind} spec key {key!r} must hold numbers, got {value!r}")
     name = spec.get("name", kind.replace("-", "_").lower())
     parallel = {"jobs": jobs} if kind == "phase-transition" else {}
     header, rows, *fit = EXPERIMENTS[kind](_Spec(spec), **parallel)

@@ -6,8 +6,10 @@ self-consistent readout generation.
 All kernels take clause operators rather than clause objects, so callers
 control how and when operators are rebuilt as theta moves: clause violating
 vectors v on their own qubits for the discrete kernels (a projector P is
-v v^T there) with the index tables that give each clause's block of the
-state, stacked observables X = 1 - 2P for the continuum ones. They are
+v v^T there), with the index tables that give each clause's block of the
+state or, for the Kraus step, the frame permutations derived from them;
+stacked observables X = 1 - 2P for the continuum ones, which
+ClauseSet.observables scatters from the same vectors and tables. They are
 followed by the measurement time tau and the step dt. Every kernel advances
 all m clauses by one step dt in a single call. The discrete Kraus step holds
 the state in each clause's frame in turn, one permutation per clause, and
@@ -24,8 +26,6 @@ import warnings
 from typing import Optional, Sequence
 
 import numpy as np
-
-from .encoding import frame_permutations
 
 
 def _check_times(tau: float, dt: float, first_order: bool = False) -> None:
@@ -52,20 +52,18 @@ def kraus_measure(
     tau: float,
     dt: float,
     rng: np.random.Generator,
-    index: np.ndarray,
-    frames: Optional[Sequence[np.ndarray]] = None,
+    frames: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generalized measurement of every clause in turn on a pure state,
     in place on psi; returns psi and the m readouts.
 
-    ``vs`` holds the (m, 2^k) violating vectors and ``index`` the
-    (m, 2^k, 2^(n-k)) basis-index tables. The step holds the state in one
-    clause's frame at a time, as the block phi = psi[index[i]] whose rows run
-    over clause i's qubits, so P_i acts as v (x) amp with amp = v^T phi. One
-    permutation per clause, phi.ravel()[frames[i + 1]], moves it into the
-    next clause's frame, and the last one back to natural order. ``frames``
-    is ClauseSet.frames, the m+1 permutations derived from ``index``; without
-    it the call derives them row by row, with the same result.
+    ``vs`` holds the (m, 2^k) violating vectors and ``frames`` the m+1
+    (2^k, 2^(n-k)) permutations of ClauseSet.frames. The step holds the state
+    in one clause's frame at a time, as a block phi whose rows run over clause
+    i's qubits, so P_i acts as v (x) amp with amp = v^T phi. psi[frames[0]]
+    is clause 0's frame; one permutation per clause,
+    phi.ravel()[frames[i + 1]], moves phi into the next clause's frame, and
+    after the last clause back to natural order.
 
     The readout r follows the exact two-Gaussian mixture with weights 1 - p
     and p = |amp|^2, means +-1/sqrt(tau) and variance 1/dt; sampling draws the
@@ -84,7 +82,7 @@ def kraus_measure(
     _check_times(tau, dt)
     inv_sqrt_tau = 1.0 / math.sqrt(tau)
     sigma = 1.0 / math.sqrt(dt)
-    perms = iter(frame_permutations(index) if frames is None else frames)
+    perms = iter(frames)
     scale = 1.0 / math.sqrt(psi.dot(psi))
     phi = psi[next(perms)]
     readouts = []

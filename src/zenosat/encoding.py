@@ -13,6 +13,7 @@ on its own k qubits and its table of basis indices.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +42,8 @@ def encoded_state(theta: float, truth: bool) -> np.ndarray:
 class Schedule:
     """Control schedule theta(u) on the unit interval, with theta(0) = 0 and
     theta(1) = pi/2. ``table`` is a monotone list of (fraction, theta) pairs
-    interpolated linearly; absent table means the linear ramp.
+    of real numbers, interpolated linearly and held as a tuple of float
+    pairs; absent table means the linear ramp.
     """
 
     table: Optional[tuple[tuple[float, float], ...]] = None
@@ -49,10 +51,16 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.table is None:
             return
+        if not isinstance(self.table, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and len(row) == 2
+            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in row)
+            for row in self.table
+        ):
+            raise ValueError("schedule table rows must be pairs of real numbers")
+        object.__setattr__(self, "table", tuple((float(u), float(th)) for u, th in self.table))
         if len(self.table) < 2:
             raise ValueError("schedule table needs at least two rows")
-        us = [row[0] for row in self.table]
-        ths = [row[1] for row in self.table]
+        us, ths = zip(*self.table)
         if not all(map(math.isfinite, us + ths)):
             raise ValueError("schedule table entries must be finite")
         if any(b < a for a, b in zip(us, us[1:])):
@@ -78,23 +86,23 @@ class Schedule:
 
 
 # Peak of the arrays one solver step allocates, its state included and its
-# index tables, frame permutations and operator basis not, measured with
-# tracemalloc. The solver builds the operators of several steps at once only
-# within its 256 KiB budget, so a stack larger than half of that is built one
-# step at a time and counted once here. Continuum steps, in (m, 2^n, 2^n)
-# stacks at n = 7, m = 28 (observables plus kernel): lindblad_step 3.00,
-# sme_step on psi 1.01 (the observables and (m, 2^n) X_i psi).
-# Pure Kraus steps (all m clauses in place on psi), in 2^n-vectors: 3.25 at
+# index, position and frame tables not, measured with tracemalloc. The solver
+# builds the operators of several steps at once only within its 256 KiB
+# budget, so a stack larger than half of that is built one step at a time
+# and counted once here. Continuum steps, in (m, 2^n, 2^n) stacks at n = 7,
+# m = 28 (observables plus kernel): lindblad_step 3.00, sme_step on psi 1.02
+# (the observables and (m, 2^n) X_i psi); building the observables alone
+# peaks at the stack plus its scatter values, 2^(k-n) of a stack.
+# Pure Kraus steps (all m clauses in place on psi), in 2^n-vectors: 3.24 at
 # n = 12, m = 52 and 3.14 at n = 14, m = 60 (psi, the state in one clause's
-# frame while it moves to the next, and the rank-1 update), given the frame
-# permutations; 5.48 and 5.19 when the kernel derives them in the call (two
-# more permutation rows). The constant covers both. Averaged steps (all m
-# clauses in place on rho), in density matrices: 3.38 at n = 9, m = 39 and
-# n = 10, m = 43 (rho, W, one clause's gathered rows or the outer product
+# frame while it moves to the next, and the rank-1 update). Averaged steps
+# (all m clauses in place on rho), in density matrices: 3.38 at n = 9, m = 39
+# and n = 10, m = 43 (rho, W, one clause's gathered rows or the outer product
 # scattered into W, and 2^-k-sized row and column gathers). Small arrays and
-# ufunc buffers add at lower n (4.27 density matrices at n = 7).
+# ufunc buffers add at lower n (4.27 density matrices at n = 7, 4.23 vectors
+# at n = 8).
 _PEAK_STACKS = 4
-_PEAK_VECTORS = 6
+_PEAK_VECTORS = 4
 _PEAK_DENSITIES = 4
 
 
@@ -112,8 +120,9 @@ class ClauseSet:
     clause costs one permutation rather than a gather and a scatter.
 
     The continuum kernels take dense (m, 2^n, 2^n) observable stacks
-    X_i(theta) = 1 - 2 P_i(theta), sampled from a basis that scatters
-    v_i v_i^T through the index table at 2k+1 angles once per ClauseSet.
+    X_i(theta) = 1 - 2 P_i(theta), built per call by scattering each
+    clause's 1 - 2 v_i v_i^T through a cached table of flat positions derived
+    from the index tables.
     """
 
     def __init__(self, f: CnfFormula):
@@ -127,13 +136,13 @@ class ClauseSet:
 
     def require_memory(self, form: str = "dense") -> None:
         """Raise ValueError when a run's per-step arrays would not fit in
-        physical memory: the 2k+1 basis stacks plus _PEAK_STACKS dense operator
-        stacks, or for the clause-local forms "psi" and "rho" the index tables
-        (with the m+1 frame permutations for "psi") plus _PEAK_VECTORS state
-        vectors or _PEAK_DENSITIES density matrices."""
-        stacks = _PEAK_STACKS + 2 * self.k + 1
+        physical memory: the index tables (with the m 2^k-row position tables
+        for "dense" and the m+1 frame permutations for "psi") plus
+        _PEAK_STACKS dense operator stacks, _PEAK_VECTORS state vectors or
+        _PEAK_DENSITIES density matrices."""
         floats, what, rows = {
-            "dense": (stacks * self.m * self.dim**2, "dense operators per step", 0),
+            "dense": (_PEAK_STACKS * self.m * self.dim**2, "dense operators per step",
+                      self.m * ((1 << self.k) + 1)),
             "psi": (_PEAK_VECTORS * self.dim, "index tables and state vectors",
                     2 * self.m + 1),
             "rho": (_PEAK_DENSITIES * self.dim**2, "index tables and density matrices",
@@ -149,41 +158,27 @@ class ClauseSet:
             )
 
     @cached_property
-    def _basis(self) -> np.ndarray:
-        """(2k+1, m 4^n) B, X(t) = g(t) @ B for g = (1, cos t, sin t, ..., sin kt):
-        an entry of v v^T is a product over the clause's k qubits of terms
-        u_a(t) u_b(t), each linear in (1, cos t, sin t). The g(t_j) at 2k+1
-        equispaced t_j are orthogonal, so the (2k+1, m, 2^k, 2^k) local
-        coefficients are weighted sums of g(t_j) v(t_j) v(t_j)^T; they are
-        scattered once through the index tables."""
+    def _positions(self) -> np.ndarray:
+        """(m, 2^k, 2^k, 2^(n-k)) positions, in a stack flattened to m 4^n
+        entries, of entry (p, q) of clause i's local operator paired with each
+        state of the other qubits: row index[i, p, :], column index[i, q, :]."""
         self.require_memory()
-        size = 2 * self.k + 1
-        angles = 2.0 * math.pi * np.arange(size) / size
-        g = (-4.0 / size) * self._harmonics(angles)
-        vs = self.violating_vectors(angles)
-        local = np.einsum("jb,jmp,jmq->bmpq", g, vs, vs)
-        local[0] /= 2.0  # |g_0|^2 = 2k+1, the others (2k+1)/2
-        basis = np.zeros((size, self.m, self.dim, self.dim))
-        clause = np.arange(self.m)[:, None, None, None]
         idx = self.index
-        basis[:, clause, idx[:, :, None], idx[:, None, :]] = local[..., None]
-        basis[0].reshape(self.m, -1)[:, :: self.dim + 1] += 1.0
-        return basis.reshape(size, -1)
+        clause = np.arange(self.m)[:, None, None, None]
+        return clause * self.dim**2 + idx[:, :, None, :] * self.dim + idx[:, None, :, :]
 
     def observables(self, theta) -> np.ndarray:
-        """(m, 2^n, 2^n) stacked X_i(theta) = 1 - 2 P_i(theta); an array of
-        S angles gives (S, m, 2^n, 2^n) from one matmul."""
-        g = self._harmonics(theta)
-        return (g @ self._basis).reshape(g.shape[:-1] + (self.m, self.dim, self.dim))
-
-    def _harmonics(self, theta) -> np.ndarray:
-        """(..., 2k+1) g(theta) = (1, cos t, sin t, ..., cos kt, sin kt)."""
-        jt = np.multiply.outer(theta, np.arange(1, self.k + 1))
-        g = np.empty(jt.shape[:-1] + (2 * self.k + 1,))
-        g[..., 0] = 1.0
-        np.cos(jt, out=g[..., 1::2])
-        np.sin(jt, out=g[..., 2::2])
-        return g
+        """(m, 2^n, 2^n) stacked X_i(theta) = 1 - 2 P_i(theta): 1 - 2 v_i v_i^T
+        on clause i's qubits, scattered through its index table (which covers
+        every diagonal entry once); an array of S angles gives
+        (S, m, 2^n, 2^n)."""
+        positions = self._positions  # refused before the stack is allocated
+        vs = self.violating_vectors(theta)
+        local = np.einsum("...p,...q->...pq", -2.0 * vs, vs)
+        local += np.eye(1 << self.k)
+        xs = np.zeros(vs.shape[:-2] + (self.m, self.dim, self.dim))
+        xs.reshape(vs.shape[:-2] + (-1,))[..., positions] = local[..., None]
+        return xs
 
     @cached_property
     def index(self) -> np.ndarray:

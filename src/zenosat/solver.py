@@ -172,11 +172,11 @@ def _evolve(
     the evolution is readout-averaged on rho (sequential averaged maps, or the
     Lindblad step in the continuum regime). Each kernel is the dynamics
     function itself and advances all m clauses by dt in one call: the
-    discrete ones through violating vectors and the index tables bound here
-    (for the Kraus step also the frame permutations, so that it moves psi
-    from one clause's frame to the next with one permutation per clause and
-    normalizes it once per step), the continuum ones through dense
-    observable stacks. Kernels are looked up in this module when a run
+    discrete ones through violating vectors and, bound here, the index tables
+    (averaged map) or the frame permutations derived from them (Kraus step,
+    so that it moves psi from one clause's frame to the next with one
+    permutation per clause and normalizes it once per step), the continuum
+    ones through dense observable stacks. Kernels are looked up in this module when a run
     starts, so patches of these names (tracing, profiling) reach every call.
 
     theta and the clause operators depend only on the step, so they are
@@ -195,7 +195,7 @@ def _evolve(
     else:
         operators = cs.violating_vectors
         if sampled:
-            kernel = partial(kraus_measure, index=cs.index, frames=cs.frames)
+            kernel = partial(kraus_measure, frames=cs.frames)
         else:
             kernel = partial(average_map, index=cs.index)
         step_bytes = 8 * cs.m * (1 << cs.k)

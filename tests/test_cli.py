@@ -178,17 +178,32 @@ def test_counts_below_one_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("option", [
-    ["--Tf", "inf"], ["--dt", "nan"], ["--dtm", "inf"], ["--tau", "nan"],
-    ["--schedule", "nan_schedule.json"],
-], ids=["tf-inf", "dt-nan", "dtm-inf", "tau-nan", "schedule-nan"])
-def test_non_finite_times_are_usage_errors(option, tmp_path, monkeypatch, capsys):
-    # refused before any step runs, with no traceback
+SCHEDULE_FILES = {
+    "nan_schedule.json": "[[0.0, 0.0], [NaN, 1.0], [1.0, 1.5707963267948966]]",
+    "scalar_schedule.json": "5",
+    "text_schedule.json": '[[0.0, 0.0], [1, "x"], [1.0, 1.5707963267948966]]',
+    "short_schedule.json": "[[0.0, 0.0], [0.5], [1.0, 1.5707963267948966]]",
+}
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--Tf", "inf"], "must be finite"), (["--dt", "nan"], "must be finite"),
+    (["--dtm", "inf"], "must be finite"), (["--tau", "nan"], "must be finite"),
+    (["--schedule", "nan_schedule.json"], "must be finite"),
+    (["--schedule", "scalar_schedule.json"], "pairs of real numbers"),
+    (["--schedule", "text_schedule.json"], "pairs of real numbers"),
+    (["--schedule", "short_schedule.json"], "pairs of real numbers"),
+], ids=["tf-inf", "dt-nan", "dtm-inf", "tau-nan", "schedule-nan", "schedule-scalar",
+        "schedule-text", "schedule-short-row"])
+def test_non_finite_times_are_usage_errors(option, message, tmp_path, monkeypatch, capsys):
+    # refused before any step runs, with no traceback; so are malformed
+    # schedule files
     monkeypatch.chdir(tmp_path)
-    Path("nan_schedule.json").write_text("[[0.0, 0.0], [NaN, 1.0], [1.0, 1.5707963267948966]]")
+    for name, text in SCHEDULE_FILES.items():
+        Path(name).write_text(text)
     assert main(["solve", "builtin:unique2", *option]) == EXIT_USAGE
     captured = capsys.readouterr()
-    assert "must be finite" in captured.err and captured.out == ""
+    assert message in captured.err and captured.out == ""
 
 
 def test_solve_with_custom_schedule_file(tmp_path, capsys):
@@ -485,6 +500,20 @@ def test_experiment_list_key_must_be_array(tmp_path, capsys):
     assert main(["experiment", str(spec_path), "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "tts-vs-Tf" in err and "'tf_list'" in err
+
+
+@pytest.mark.parametrize("key, value", [("dt", "x"), ("tf_list", [5.0, "x"])],
+                         ids=["scalar", "list-entry"])
+def test_experiment_numeric_key_must_be_number(key, value, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"kind": "tts-vs-Tf", "seed": 1, "cnf": "builtin:unique2", "tf_list": [5.0],
+         "dt": 0.25, key: value}
+    ))
+    assert main(["experiment", str(spec_path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "tts-vs-Tf" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_refused_spec_leaves_no_output_directory(tmp_path):

@@ -212,18 +212,18 @@ def test_clause_set_matches_per_clause_reference(case):
             assert np.allclose(p_psi, ref.projector(theta) @ psi, atol=1e-13)
 
 
-# the formulas the observables' trigonometric basis is checked on: random
+# the formulas the scattered observable stacks are checked on: random
 # k = 2 and k = 3 instances plus every special clause layout
-BASIS_CASES = {
+STACK_CASES = {
     "k2": random_instance(4, 2.0, 2, np.random.default_rng(21)),
     "k3": random_instance(5, 2.0, 3, np.random.default_rng(22)),
     **CLAUSE_LAYOUTS,
 }
 
 
-@pytest.mark.parametrize("case", sorted(BASIS_CASES))
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_observable_basis_matches_per_clause_reference(case):
-    f = BASIS_CASES[case]
+    f = STACK_CASES[case]
     cs = ClauseSet(f)
     refs = [clause_observable(f, i) for i in range(f.num_clauses)]
     for theta in np.linspace(0.0, math.pi / 2, 50).tolist():
@@ -232,11 +232,11 @@ def test_observable_basis_matches_per_clause_reference(case):
             assert np.max(np.abs(x - ref.observable(theta))) < 1e-14
 
 
-@pytest.mark.parametrize("case", sorted(BASIS_CASES))
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_clause_operators_of_an_array_are_the_stacked_scalar_ones(case):
     # the solver builds a block of steps in one call; each step's operators
     # must be the ones a scalar call gives, and laid out contiguously
-    cs = ClauseSet(BASIS_CASES[case])
+    cs = ClauseSet(STACK_CASES[case])
     thetas = np.linspace(-0.2, math.pi / 2 + 0.2, 37)
     vs = cs.violating_vectors(thetas)
     assert vs.flags.c_contiguous
@@ -247,24 +247,24 @@ def test_clause_operators_of_an_array_are_the_stacked_scalar_ones(case):
     assert np.max(np.abs(xs - scalars)) <= 1e-15
 
 
-def test_basis_size_and_build_peak_are_counted_by_the_refusal(monkeypatch):
-    # the cached basis holds 2k+1 (m, 2^n, 2^n) stacks; its build peaks below
-    # the 2k+1 + _PEAK_STACKS stacks the dense refusal counts, and a register
-    # one byte short of that count is refused before anything is built
+def test_stack_build_holds_no_stack_and_is_counted_by_the_refusal(monkeypatch):
+    # a ClauseSet keeps only its index and position tables once a stack is
+    # built, one build peaks below the _PEAK_STACKS stacks the dense refusal
+    # counts, and a register one byte short of that count plus the tables is
+    # refused before any stack is built
     f = random_instance(6, 4.0, 3, np.random.default_rng(0))
     cs = ClauseSet(f)
     stack = 8 * cs.m * cs.dim**2
-    counted = 2 * cs.k + 1 + encoding._PEAK_STACKS
     tracemalloc.start()
     try:
         cs.observables(0.3)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cs._basis.nbytes == (2 * cs.k + 1) * stack
-    assert current / stack == pytest.approx(2 * cs.k + 1, abs=0.05)
-    assert peak / stack < counted, peak / stack
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": counted * stack}
+    tables = cs.index.nbytes + cs._positions.nbytes
+    assert (current - tables) / stack == pytest.approx(0.0, abs=0.01)
+    assert peak / stack < encoding._PEAK_STACKS, peak / stack
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": encoding._PEAK_STACKS * stack + tables}
     monkeypatch.setattr(encoding.os, "sysconf", memory.__getitem__)
     ClauseSet(f).require_memory()
     memory["SC_PHYS_PAGES"] -= 1
@@ -300,7 +300,7 @@ def test_refusal_constant_follows_measured_step_peak():
     assert cs.m == 28
     stack = 8 * cs.m * cs.dim**2
     states = {"lindblad_step": plus_density(f.num_vars), "sme_step": plus_state(f.num_vars)}
-    cs.observables(0.0)  # the cached basis is counted apart from a step's peak
+    cs.observables(0.0)  # the cached tables are counted apart from a step's peak
     peaks = {}
     for name, state in states.items():
         kernel = getattr(solver, name)
@@ -318,18 +318,20 @@ def test_refusal_constant_follows_measured_step_peak():
 
 
 def test_pure_refusal_constant_follows_measured_step_peak():
-    # a pure run counts its index tables plus _PEAK_VECTORS state vectors, psi
-    # included; the Kraus step must peak below that
+    # a pure run counts its index tables and frame permutations plus
+    # _PEAK_VECTORS state vectors, psi included; the Kraus step must peak
+    # below that, and within one state vector of it
     f = random_instance(12, 4.3, 3, np.random.default_rng(0))
     cs = ClauseSet(f)
-    psi, index, vs = plus_state(f.num_vars), cs.index, cs.violating_vectors(0.7)
+    psi, frames, vs = plus_state(f.num_vars), cs.frames, cs.violating_vectors(0.7)
     tracemalloc.start()
     try:
-        solver.kraus_measure(psi, vs, 1.0, 0.25, np.random.default_rng(1), index=index)
+        solver.kraus_measure(psi, vs, 1.0, 0.25, np.random.default_rng(1), frames=frames)
         peak = tracemalloc.get_traced_memory()[1] / (8 * cs.dim)
     finally:
         tracemalloc.stop()
     assert 1.0 + peak < encoding._PEAK_VECTORS, peak
+    assert 1.0 + peak > encoding._PEAK_VECTORS - 1, peak
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 

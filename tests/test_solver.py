@@ -497,8 +497,8 @@ def test_heralded_restart_respects_time_budget(seed, t_f):
     "dt, t_f", [(0.25, 30.0), (0.01, 20.0)], ids=["discrete", "continuum"]
 )
 def test_restart_builds_one_clause_set_per_run(dt, t_f, monkeypatch):
-    # every attempt reuses the run's ClauseSet, so its index tables or its
-    # observables' basis are built once a run
+    # every attempt reuses the run's ClauseSet, so its index tables, frame
+    # permutations and position table are built once a run
     built = []
     init = ClauseSet.__init__
     monkeypatch.setattr(
