@@ -314,13 +314,12 @@ def _coerce(value: str):
         return value
 
 
-_LIST_KEYS = (
-    "tf_list", "n_list", "alphas", "gamma_tf", "tf_over_tau", "dt_over_tau", "modes"
-)
-_NUMBER_KEYS = tuple(key for key in _LIST_KEYS if key != "modes") + (
-    "seed", "tau", "dt", "dtm", "tf", "n", "k", "alpha", "instances", "shots",
-    "trajectories", "p_star", "record_every",
-)
+_LIST_KEYS = ("tf_list", "n_list", "alphas", "gamma_tf", "tf_over_tau", "dt_over_tau",
+              "modes")
+_COUNT_KEYS = ("n_list", "seed", "n", "k", "instances", "shots", "trajectories",
+               "record_every")
+_NUMBER_KEYS = ("tf_list", "alphas", "gamma_tf", "tf_over_tau", "dt_over_tau", "tau",
+                "dt", "dtm", "tf", "alpha", "p_star")
 
 
 class _Spec(dict):
@@ -342,6 +341,8 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
         if key in _LIST_KEYS and not isinstance(value, list):
             raise ValueError(f"{kind} spec key {key!r} must be a JSON array")
         values = value if key in _LIST_KEYS else [value]
+        if key in _COUNT_KEYS and any(type(v) is not int for v in values):
+            raise ValueError(f"{kind} spec key {key!r} must hold integers, got {value!r}")
         if key in _NUMBER_KEYS and any(type(v) not in (int, float) for v in values):
             raise ValueError(f"{kind} spec key {key!r} must hold numbers, got {value!r}")
     name = spec.get("name", kind.replace("-", "_").lower())

@@ -41,11 +41,6 @@ def _check_times(tau: float, dt: float, first_order: bool = False) -> None:
         )
 
 
-def _renormalize(rho: np.ndarray) -> np.ndarray:
-    rho /= rho.trace(axis1=-2, axis2=-1).real[..., None, None]
-    return rho
-
-
 def kraus_measure(
     psi: np.ndarray,
     vs: np.ndarray,
@@ -141,17 +136,19 @@ def average_map(
 def lindblad_step(
     rho: np.ndarray, observables: np.ndarray, tau: float, dt: float
 ) -> np.ndarray:
-    """First-order unconditional step for m simultaneous clause channels:
-    rho' = rho + (dt/4tau) sum_i (X_i rho X_i - rho), trace renormalized.
-
-    observables has shape (m, d, d); rho may carry leading batch dims.
+    """First-order unconditional step for m simultaneous clause channels, on
+    (m, d, d) observables and rho with optional leading batch dims:
+    rho' = rho + (dt/4tau) sum_i (X_i rho X_i - rho), the sum one product of
+    the row [X_1 ... X_m], the stack's conjugate transpose, and the stacked
+    rho X_i. Each X_i^2 = 1 keeps the trace exactly; only rounding moves it.
     """
     _check_times(tau, dt, first_order=True)
-    # X_i rho and X_i rho X_i are unnamed: with the observables, three stacks
-    out = (observables @ rho[..., None, :, :] @ observables).sum(axis=-3)
+    column = observables.reshape(-1, observables.shape[-1])  # the X_i, one over another
+    halves = rho[..., None, :, :] @ observables  # rho X_i, the one stack made
+    out = column.conj().T @ halves.reshape(halves.shape[:-3] + column.shape)
     out *= dt / (4.0 * tau)
     out += (1.0 - observables.shape[0] * dt / (4.0 * tau)) * rho
-    return _renormalize(out)
+    return out
 
 
 def sme_step(

@@ -90,9 +90,9 @@ class Schedule:
 # builds the operators of several steps at once only within its 256 KiB
 # budget, so a stack larger than half of that is built one step at a time
 # and counted once here. Continuum steps, in (m, 2^n, 2^n) stacks at n = 7,
-# m = 28 (observables plus kernel): lindblad_step 3.00, sme_step on psi 1.02
-# (the observables and (m, 2^n) X_i psi); building the observables alone
-# peaks at the stack plus its scatter values, 2^(k-n) of a stack.
+# m = 28 (observables plus kernel): lindblad_step 2.07 (and the rho X_i),
+# sme_step on psi 1.02 (and the (m, 2^n) X_i psi); building the observables
+# alone peaks at the stack plus its scatter values, 2^(k-n) of a stack.
 # Pure Kraus steps (all m clauses in place on psi), in 2^n-vectors: 3.24 at
 # n = 12, m = 52 and 3.14 at n = 14, m = 60 (psi, the state in one clause's
 # frame while it moves to the next, and the rank-1 update). Averaged steps
@@ -101,7 +101,7 @@ class Schedule:
 # scattered into W, and 2^-k-sized row and column gathers). Small arrays and
 # ufunc buffers add at lower n (4.27 density matrices at n = 7, 4.23 vectors
 # at n = 8).
-_PEAK_STACKS = 4
+_PEAK_STACKS = 3
 _PEAK_VECTORS = 4
 _PEAK_DENSITIES = 4
 

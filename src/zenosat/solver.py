@@ -170,14 +170,14 @@ def _evolve(
     filtered signal below threshold aborts the run with the elapsed time. A
     sampled run holds psi, which perfect detection keeps pure. Without an rng
     the evolution is readout-averaged on rho (sequential averaged maps, or the
-    Lindblad step in the continuum regime). Each kernel is the dynamics
-    function itself and advances all m clauses by dt in one call: the
+    Lindblad step in the continuum regime); both keep tr rho up to rounding,
+    which is divided out once, when the run returns. Each kernel is the
+    dynamics function itself and advances all m clauses by dt in one call: the
     discrete ones through violating vectors and, bound here, the index tables
-    (averaged map) or the frame permutations derived from them (Kraus step,
-    so that it moves psi from one clause's frame to the next with one
-    permutation per clause and normalizes it once per step), the continuum
-    ones through dense observable stacks. Kernels are looked up in this module when a run
-    starts, so patches of these names (tracing, profiling) reach every call.
+    (averaged map) or the frame permutations derived from them (Kraus step),
+    the continuum ones through dense observable stacks. Kernels are looked up
+    in this module when a run starts, so patches of these names (tracing,
+    profiling) reach every call.
 
     theta and the clause operators depend only on the step, so they are
     built ahead in vectorised calls, then the kernel is called once per step
@@ -234,6 +234,8 @@ def _evolve(
                 failed_clause=hit,
                 diagnostics=rec.asdict(),
             )
+    if not sampled:
+        state /= np.trace(state)
     return RunOutcome(
         mode=mode,
         seed=cfg.seed,

@@ -2,9 +2,10 @@
 forms of what the package computes another way (dense clause operators
 embedded one clause at a time, the partial trace, the Kraus step gathered
 and scattered per clause, the dense-rho Kraus step and averaged map, the
-integral form of the readout filter, a Heun Lindblad step), plus closed
-forms, Pauli matrices, the co-rotating frame, the Zeno diagnostic, the trace
-distance and a classical baseline solver that only tests use.
+integral form of the readout filter, the Lindblad step as per-clause stacks
+renormalized every step, a Heun Lindblad step), plus closed forms, Pauli
+matrices, the co-rotating frame, the Zeno diagnostic, the trace distance and
+a classical baseline solver that only tests use.
 """
 
 import math
@@ -148,6 +149,17 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------- dynamics
+
+
+def lindblad_step_stacked(
+    rho: np.ndarray, observables: np.ndarray, tau: float, dt: float
+) -> np.ndarray:
+    """``dynamics.lindblad_step`` as two (m, d, d) stacks, X_i rho and
+    X_i rho X_i, summed over clauses, with the trace divided out every step."""
+    out = (observables @ rho[..., None, :, :] @ observables).sum(axis=-3)
+    out *= dt / (4.0 * tau)
+    out += (1.0 - observables.shape[0] * dt / (4.0 * tau)) * rho
+    return out / out.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def lindblad_step_heun(

@@ -516,6 +516,24 @@ def test_experiment_numeric_key_must_be_number(key, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "tts-vs-Tf", "cnf": "builtin:unique2", "tf_list": [5.0], "dt": 0.25,
+      "mode": "heralded-restart", "trajectories": 1.5}, "trajectories"),
+    ({"kind": "tts-scaling", "n_list": [3, 4], "alpha": 2.0, "k": 2, "tf": 5.0,
+      "dt": 0.25, "instances": 2.5}, "instances"),
+    ({"kind": "tts-scaling", "n_list": [3, 4.0], "alpha": 2.0, "k": 2, "tf": 5.0,
+      "dt": 0.25, "instances": 1}, "n_list"),
+], ids=["trajectories", "instances", "n_list-entry"])
+def test_experiment_count_key_must_be_integer(spec, key, tmp_path, capsys):
+    # each float count here reached range() as a TypeError traceback
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(spec, seed=1)))
+    assert main(["experiment", str(spec_path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert spec["kind"] in err and repr(key) in err and "integers" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_refused_spec_leaves_no_output_directory(tmp_path):
     outdir = tmp_path / "out" / "sweep"
     with pytest.raises(ValueError):

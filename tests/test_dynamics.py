@@ -13,12 +13,18 @@ from oracles import (
     average_map_dense,
     kraus_measure_gathered,
     lindblad_step_heun,
+    lindblad_step_stacked,
     trace_distance,
 )
 from zenosat.dynamics import average_map, kraus_measure, lindblad_step, sme_step
 from zenosat.encoding import ClauseSet, frame_permutations
 from zenosat.qlinalg import plus_density, plus_state, validate_density
-from zenosat.satcore import TWO_SAT_UNIQUE, random_instance
+from zenosat.satcore import (
+    TWO_SAT_TWO_SOLUTIONS,
+    TWO_SAT_UNIQUE,
+    TWO_SAT_UNSAT,
+    random_instance,
+)
 
 CLAUSES = ClauseSet(TWO_SAT_UNIQUE)
 X_OBS = CLAUSES.observables(0.8)  # (3, 4, 4) stack
@@ -196,6 +202,31 @@ def test_lindblad_batched_matches_single():
     for i in range(5):
         single = lindblad_step(rhos[i], X_OBS, tau=1.0, dt=0.01)
         assert np.allclose(out[i], single)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_lindblad_step_matches_the_stacked_reference(n):
+    # one product of the stacked observables in place of a sum over two
+    # per-clause stacks, and no division by the trace
+    f = TWO_SAT_UNIQUE if n == 2 else random_instance(n, 4.3, 3, np.random.default_rng(0))
+    xs = ClauseSet(f).observables(0.8)
+    rhos = np.stack([random_density(1 << n, seed) for seed in range(3)])
+    for rho in (rhos[0], rhos):
+        out = lindblad_step(rho, xs, tau=1.0, dt=0.01)
+        assert np.max(np.abs(out - lindblad_step_stacked(rho, xs, 1.0, 0.01))) < 1e-15
+
+
+@pytest.mark.parametrize("f", [TWO_SAT_UNIQUE, TWO_SAT_TWO_SOLUTIONS, TWO_SAT_UNSAT],
+                         ids=["unique2", "two-solutions2", "unsat2"])
+def test_lindblad_steps_keep_the_trace_without_dividing(f):
+    # X_i^2 = 1 keeps tr rho, so over a 4,000-step run from theta = 0 to pi/2
+    # (dt = 0.01, T_f = 40) only rounding moves it, about linearly in the steps
+    steps = 4000
+    xs = ClauseSet(f).observables((math.pi / 2.0) * np.arange(1, steps + 1) / steps)
+    rho = plus_density(2)
+    for x in xs:
+        rho = lindblad_step(rho, x, tau=1.0, dt=0.01)
+    assert abs(np.trace(rho) - 1.0) < 1e-12
 
 
 def test_lindblad_matches_sequential_maps_to_second_order():

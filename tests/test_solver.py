@@ -150,6 +150,13 @@ def test_continuum_final_states_are_pinned():
         assert np.max(np.abs(rho - np.array(pinned[name]))) < 1e-12, name
 
 
+def test_averaged_continuum_run_divides_out_its_trace_on_return():
+    # its 4,000 Lindblad steps keep tr rho only up to rounding (2e-13 here),
+    # which the run divides out once, when it returns
+    rho = run_average(TWO_SAT_UNIQUE, cfg_with(t_f=40.0, dt=0.01)).final_state
+    assert abs(np.trace(rho) - 1.0) <= 1e-15
+
+
 # ---------------------------------------------------------------- step blocks
 
 # (formula, cfg, rng seed or None for an averaged run, steps per block): the
