@@ -134,18 +134,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.k > args.n:
-        print(f"error: k={args.k} exceeds n={args.n}", file=sys.stderr)
-        return EXIT_USAGE
+    draw = random_unique_solution_instance if args.unique else random_instance
+    rng = np.random.default_rng(args.seed)
+    formulas = [draw(args.n, args.alpha, args.k, rng) for _ in range(args.count)]
+    # the directory is made only once every instance is drawn, so a refused
+    # draw leaves none
     outdir = Path(args.outdir) if args.outdir else _default_outdir()
     outdir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    for i in range(args.count):
-        if args.unique:
-            f = random_unique_solution_instance(args.n, args.alpha, args.k, rng)
-        else:
-            f = random_instance(args.n, args.alpha, args.k, rng)
-        (outdir / f"inst_{i + 1:04d}.cnf").write_text(write_dimacs(f))
+    for i, f in enumerate(formulas, 1):
+        (outdir / f"inst_{i:04d}.cnf").write_text(write_dimacs(f))
     print(f"wrote {args.count} instances to {outdir}")
     return 0
 

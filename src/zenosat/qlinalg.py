@@ -4,7 +4,8 @@ Conventions fixed here and used by every other module:
 
 - Qubit 1 is the leftmost tensor factor, so basis index bits read qubit 1
   as the most significant bit. Basis order is ascending binary,
-  {|00>, |01>, |10>, |11>} for two qubits.
+  {|00>, |01>, |10>, |11>} for two qubits. ``satcore.assignment_bits``
+  turns a basis index into these bits.
 - The readout axis operator is |1><1| - |0><0| (the negative of the
   textbook sigma_z): the encoded true-state sits at |1> with z = +1.
 """
@@ -89,7 +90,7 @@ def local_z(state: np.ndarray, j: int) -> float:
     return float(marginal[1] - marginal[0])
 
 
-def validate_density(rho: np.ndarray, check_positivity: bool = True) -> None:
+def validate_density(rho: np.ndarray) -> None:
     """Assert density-matrix invariants within the package tolerances."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"not a square matrix: {rho.shape}")
@@ -100,7 +101,6 @@ def validate_density(rho: np.ndarray, check_positivity: bool = True) -> None:
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-9:
         raise ValueError(f"trace {tr} differs from 1")
-    if check_positivity:
-        lo = np.min(np.linalg.eigvalsh(rho))
-        if lo < -1e-8:
-            raise ValueError(f"minimum eigenvalue {lo:.3e} below tolerance")
+    lo = np.min(np.linalg.eigvalsh(rho))
+    if lo < -1e-8:
+        raise ValueError(f"minimum eigenvalue {lo:.3e} below tolerance")

@@ -169,15 +169,16 @@ def evaluate(f: CnfFormula, assignment: Sequence[bool]) -> bool:
 _ENUM_CAP = 24
 
 
-def _assignment_table(n: int, offset: int, count: int) -> np.ndarray:
-    """Boolean table (count, n): row i is assignment offset+i, variable 1 first.
-
-    Bit convention: variable j is true iff bit (n-j) of the row index is set,
-    so row index 0 is the all-false assignment.
+def assignment_bits(index, n: int) -> np.ndarray:
+    """The n bits of an assignment or basis index (an int or an integer
+    array), as a 0/1 array of shape index.shape + (n,), variable and qubit 1
+    first: column j-1 is bit n-j, the tensor-factor order of ``qlinalg``.
+    Variable j is true iff its bit is 1, so index 0 is the all-false
+    assignment. The oracle, the readout and the success probability all
+    turn indices into bits here.
     """
-    idx = np.arange(offset, offset + count, dtype=np.int64)
-    shifts = n - 1 - np.arange(n)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(bool)
+    shifts = np.arange(n - 1, -1, -1)
+    return (np.asarray(index, dtype=np.int64)[..., None] >> shifts) & 1
 
 
 def _satisfied_mask(f: CnfFormula, table: np.ndarray) -> np.ndarray:
@@ -190,14 +191,14 @@ def _satisfied_mask(f: CnfFormula, table: np.ndarray) -> np.ndarray:
 
 
 def _solution_chunks(f: CnfFormula):
-    """Boolean tables of the satisfying assignments, one per chunk of up to
+    """Bit tables of the satisfying assignments, one per chunk of up to
     2^16 assignments in ascending order; refuses n > _ENUM_CAP."""
     n = f.num_vars
     if n > _ENUM_CAP:
         raise SatError(f"refusing brute force for n={n} > {_ENUM_CAP}")
     chunk = 1 << min(n, 16)
     for offset in range(0, 1 << n, chunk):
-        table = _assignment_table(n, offset, min(chunk, (1 << n) - offset))
+        table = assignment_bits(np.arange(offset, offset + chunk), n)
         yield table[_satisfied_mask(f, table)]
 
 

@@ -19,11 +19,13 @@ import numpy as np
 from .dynamics import average_map, kraus_measure, lindblad_step, sme_step
 from .encoding import ClauseSet, Schedule
 from .herald import FilterConfig, FilterState, detect_failure
-from .qlinalg import basis_probabilities, local_z, plus_density, plus_state, purity
+from .qlinalg import (basis_probabilities, local_z, num_qubits, plus_density,
+                      plus_state, purity)
 from .satcore import (
     Assignment,
     CnfFormula,
     SolutionSet,
+    assignment_bits,
     enumerate_solutions,
     evaluate,
     to_bitstring,
@@ -81,7 +83,6 @@ class RunOutcome:
     mode: str
     seed: int
     consumed_time: float
-    failed: bool = False
     failed_at: Optional[float] = None
     failed_clause: Optional[int] = None
     num_attempts: int = 1
@@ -90,6 +91,11 @@ class RunOutcome:
     candidate: Optional[Assignment] = None
     verified: Optional[bool] = None
     diagnostics: Optional[dict] = None
+
+    @property
+    def failed(self) -> bool:
+        """Whether detection aborted the run, which then reports failed_at."""
+        return self.failed_at is not None
 
     @property
     def final_rho(self) -> Optional[np.ndarray]:
@@ -205,6 +211,7 @@ def _evolve(
     else:
         mode, keys = "average", ("purity", "z")
     steps = _num_steps(horizon, cfg.dt)
+    out = RunOutcome(mode=mode, seed=cfg.seed, consumed_time=steps * cfg.dt)
     rec = _Recorder(cfg.record_every, keys)
     block = max(1, _BLOCK_BYTES // step_bytes)
     for step, theta, ops in _step_operators(operators, block, cfg, horizon, steps):
@@ -225,24 +232,15 @@ def _evolve(
             if sampled:
                 rec.push(r=readouts.copy(), rbar=fs.rbar.copy())
         if detect and (hit := detect_failure(fs)) is not None:
-            return RunOutcome(
-                mode=mode,
-                seed=cfg.seed,
-                consumed_time=t,
-                failed=True,
-                failed_at=t,
-                failed_clause=hit,
-                diagnostics=rec.asdict(),
-            )
-    if not sampled:
-        state /= np.trace(state)
-    return RunOutcome(
-        mode=mode,
-        seed=cfg.seed,
-        consumed_time=steps * cfg.dt,
-        final_state=state,
-        diagnostics=rec.asdict(),
-    )
+            out.consumed_time = out.failed_at = t
+            out.failed_clause = hit
+            break
+    else:
+        if not sampled:
+            state /= np.trace(state)
+        out.final_state = state
+    out.diagnostics = rec.asdict()
+    return out
 
 
 def run_average(f: CnfFormula, cfg: RunConfig) -> RunOutcome:
@@ -311,10 +309,8 @@ def readout(
     """
     probs = basis_probabilities(state)
     probs = probs / probs.sum()
-    d = probs.size
-    n = d.bit_length() - 1
-    basis = rng.choice(d, p=probs)
-    z = np.array([1.0 if (basis >> (n - j)) & 1 else -1.0 for j in range(1, n + 1)])
+    n = num_qubits(probs.size)
+    z = 2.0 * assignment_bits(rng.choice(probs.size, p=probs), n) - 1.0
     if dt_m <= 0:
         r = rng.standard_normal(n)
     else:
@@ -349,12 +345,10 @@ def success_probability(
         return 0.0
     e_val = math.erf(math.sqrt(dt_m / (2.0 * tau))) if dt_m > 0 else 0.0
     diag = basis_probabilities(state)
-    shifts = n - 1 - np.arange(n)
-    bit_table = (np.arange(d)[:, None] >> shifts[None, :]) & 1
+    bits = assignment_bits(np.arange(d), n)
     total = 0.0
     for s in solutions.assignments:
-        s_bits = np.array([1 if b else 0 for b in s])
-        ham = np.sum(bit_table != s_bits[None, :], axis=1)
+        ham = np.sum(bits != np.array(s), axis=1)
         weights = (1.0 + e_val) ** (n - ham) * (1.0 - e_val) ** ham
         total += float(diag @ weights) / d
     return min(total, 1.0)

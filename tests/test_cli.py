@@ -265,6 +265,17 @@ def test_gen_rejects_wide_clauses(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    ["--n", "3", "--alpha", "0.1", "--k", "3"],  # zero clauses
+    ["--n", "4", "--alpha", "0.5", "--k", "3", "--unique"],  # no unique instance
+], ids=["zero-clauses", "no-unique-instance"])
+def test_refused_gen_makes_no_directory(args, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(["gen", *args, "--outdir", str(outdir)]) == EXIT_USAGE
+    assert not outdir.exists()
+    capsys.readouterr()
+
+
 def test_gen_uses_env_output_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZENOSAT_OUT_DIR", str(tmp_path / "envdir"))
     code = main(["gen", "--n", "3", "--alpha", "1.0", "--k", "2", "--seed", "0"])
@@ -579,6 +590,13 @@ def test_replay_reproduces_outputs(kind, tmp_path, capsys):
     (manifest,) = (tmp_path / "run").glob("*_manifest.json")
     code = main(["replay", str(manifest)])
     assert code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "identical"
+
+
+@pytest.mark.parametrize("manifest", sorted(PINNED.glob("*_manifest.json")),
+                         ids=lambda path: path.stem)
+def test_committed_manifests_replay_identical(manifest, tmp_path, capsys):
+    assert main(["replay", str(manifest), "--out", str(tmp_path)]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "identical"
 
 

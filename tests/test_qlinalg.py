@@ -210,7 +210,6 @@ def test_validate_density():
     neg = np.diag([1.5, -0.5])
     with pytest.raises(ValueError):
         validate_density(neg)
-    validate_density(neg, check_positivity=False)
     with pytest.raises(ValueError):
         validate_density(np.eye(3) / 3)  # not a qubit register
 

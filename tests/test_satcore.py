@@ -18,6 +18,7 @@ from zenosat.satcore import (
     TWO_SAT_UNIQUE,
     TWO_SAT_UNSAT,
     _ENUM_CAP,
+    assignment_bits,
     clause,
     enumerate_solutions,
     evaluate,
@@ -131,6 +132,17 @@ def test_builtin_problem_solution_sets():
     assert enumerate_solutions(TWO_SAT_UNSAT).count == 0
     assert is_satisfiable(TWO_SAT_UNIQUE)
     assert not is_satisfiable(TWO_SAT_UNSAT)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_assignment_bits_follow_tensor_factor_order(n):
+    # qubit and variable 1 is the most significant bit, as qlinalg declares
+    rng = np.random.default_rng(n)
+    for index in (0, (1 << n) - 1, int(rng.integers(1 << n)),
+                  np.arange(1 << n), rng.integers(1 << n, size=(3, 5))):
+        bits = assignment_bits(index, n)
+        assert bits.shape == np.shape(index) + (n,)
+        assert np.array_equal(bits, np.stack(np.unravel_index(index, (2,) * n), axis=-1))
 
 
 def test_enumeration_cap():

@@ -206,6 +206,19 @@ def test_step_blocks_do_not_change_the_run(case, monkeypatch):
             assert np.array_equal(out.final_state, default.final_state)
 
 
+def test_failed_is_derived_from_failed_at():
+    aborted = run_heralded_single(TWO_SAT_UNSAT, cfg_with(), np.random.default_rng(0))
+    completed = run_full(TWO_SAT_UNIQUE, cfg_with(t_f=2.0, dt=0.01))
+    restart = run_full(
+        TWO_SAT_UNSAT, cfg_with(t_f=30.0, dt_m=2.0, mode="heralded-restart", seed=1)
+    )
+    assert aborted.failed and not completed.failed and restart.num_attempts > 1
+    for out in (aborted, completed, restart):
+        assert out.failed == (out.failed_at is not None) == out.to_dict()["failed"]
+        with pytest.raises(AttributeError):
+            out.failed = not out.failed
+
+
 def test_reported_times_stay_python_floats():
     # JSON and CSV output print these; a NumPy scalar reprs as np.float64(...)
     completed = run_full(TWO_SAT_UNIQUE, cfg_with(t_f=2.0, dt=0.01, record_every=10))
