@@ -416,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--dt", type=float, default=0.01)
     p_solve.add_argument("--dtm", type=float, default=50.0)
     p_solve.add_argument("--schedule", default="linear",
-                         help="'linear' or path to a JSON (fraction, theta) table")
+                         help="'linear' (the two-row ramp table [[0, 0], [1, pi/2]])"
+                         " or path to a JSON (fraction, theta) table")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--max-shots", type=_count, default=8)
     p_solve.set_defaults(func=cmd_solve)

@@ -3,7 +3,7 @@ states, clause operators, schedules and solution states.
 
 Encoding map: a true variable is dragged along ry(+theta)|+>, a false one
 along ry(-theta)|+>. At theta = pi/2 true sits at |1> and false at |0>,
-consistent with the bitstring convention true -> '0' and the readout axis
+consistent with the bitstring convention true -> '1' and the readout axis
 |1><1| - |0><0|.
 
 Every clause operator comes from one source: the clause's violating vector
@@ -17,7 +17,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -43,14 +43,12 @@ class Schedule:
     """Control schedule theta(u) on the unit interval, with theta(0) = 0 and
     theta(1) = pi/2. ``table`` is a monotone list of (fraction, theta) pairs
     of real numbers, interpolated linearly and held as a tuple of float
-    pairs; absent table means the linear ramp.
+    pairs; the default's two rows are the linear ramp.
     """
 
-    table: Optional[tuple[tuple[float, float], ...]] = None
+    table: tuple[tuple[float, float], ...] = ((0.0, 0.0), (1.0, math.pi / 2))
 
     def __post_init__(self) -> None:
-        if self.table is None:
-            return
         if not isinstance(self.table, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) and len(row) == 2
             and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in row)
@@ -76,12 +74,9 @@ class Schedule:
     def theta(self, fraction):
         """theta at the fraction clipped to [0, 1]: a float for a scalar
         fraction, an array of the same shape for an array of fractions."""
+        us, ths = self._columns
         u = np.clip(fraction, 0.0, 1.0)
-        if self.table is None:
-            theta = (math.pi / 2.0) * u
-        else:
-            us, ths = self._columns
-            theta = np.clip(np.interp(u, us, ths), 0.0, math.pi / 2.0)
+        theta = np.clip(np.interp(u, us, ths), 0.0, math.pi / 2.0)
         return float(theta) if np.ndim(theta) == 0 else theta
 
 

@@ -56,15 +56,17 @@ def fidelity_pure(rho: np.ndarray, phi: np.ndarray) -> float:
 
 
 def concurrence_2q(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit state."""
+    """Wootters concurrence of a two-qubit state: max(0, l1 - l2 - l3 - l4)
+    for the descending singular values l of sqrt(rho) (Y x Y) sqrt(rho)*.
+    The Hermitian square root of rho, its eigenvalues clipped at 0, keeps
+    the value Lipschitz in rho at rank-deficient states."""
     if rho.shape != (4, 4):
         raise ValueError(f"concurrence needs a 4x4 state, got {rho.shape}")
     yy = np.kron(SIGMA_Y, SIGMA_Y).real  # sigma_y x sigma_y is real
-    r = rho @ yy @ rho.conj() @ yy
-    ev = np.linalg.eigvals(r)
-    lam = np.sqrt(np.clip(ev.real, 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lam = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
 def basis_probabilities(state: np.ndarray) -> np.ndarray:

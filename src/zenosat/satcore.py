@@ -2,8 +2,9 @@
 instance generation.
 
 Boolean convention used throughout the package: a variable that is *true*
-is written as bit ``0`` in bitstrings (and maps to spin ``+1`` on the
-quantum side); *false* is bit ``1`` (spin ``-1``).
+is bit ``1``, in bitstrings as in basis indices (``assignment_bits``), and
+reads out as z = +1 on the quantum side; *false* is bit ``0`` (z = -1). A
+bitstring is thus its basis index in binary, variable 1 first.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def formula(num_vars: int, *clauses_: Iterable[int]) -> CnfFormula:
 
 
 def to_bitstring(assignment: Sequence[bool]) -> str:
-    """Render an assignment as a bitstring with true -> '0', false -> '1'."""
-    return "".join("0" if b else "1" for b in assignment)
+    """Render an assignment as a bitstring with true -> '1', false -> '0'."""
+    return "".join("1" if b else "0" for b in assignment)
 
 
 def parse_dimacs(text: str) -> CnfFormula:

@@ -124,28 +124,6 @@ class RunOutcome:
         }
 
 
-def _num_steps(horizon: float, dt: float) -> int:
-    return max(1, round(horizon / dt))
-
-
-class _Recorder:
-    def __init__(self, every: int, keys: tuple[str, ...]):
-        self.every = every
-        self.data: dict[str, list] = {key: [] for key in ("t", "theta") + keys}
-
-    def want(self, step: int) -> bool:
-        return self.every > 0 and step % self.every == 0
-
-    def push(self, **values) -> None:
-        for key, val in values.items():
-            self.data[key].append(val)
-
-    def asdict(self) -> Optional[dict]:
-        if self.every <= 0:
-            return None
-        return {key: np.asarray(val) for key, val in self.data.items()}
-
-
 def _step_operators(operators, block: int, cfg: RunConfig, horizon: float, steps: int):
     """Yield (step, theta, clause operators) for steps 1..steps, theta a
     float. One vectorised call builds the operators of ``block`` steps, and
@@ -206,13 +184,14 @@ def _evolve(
             kernel = partial(average_map, index=cs.index)
         step_bytes = 8 * cs.m * (1 << cs.k)
     if sampled:
-        mode, keys = "heralded-single", ("purity", "z", "r", "rbar")
+        mode, keys = "heralded-single", ("t", "theta", "purity", "z", "r", "rbar")
         fs = FilterState(cfg.filter_config(horizon), (cs.m,))
     else:
-        mode, keys = "average", ("purity", "z")
-    steps = _num_steps(horizon, cfg.dt)
+        mode, keys = "average", ("t", "theta", "purity", "z")
+    every = cfg.record_every
+    record = {key: [] for key in keys}
+    steps = max(1, round(horizon / cfg.dt))
     out = RunOutcome(mode=mode, seed=cfg.seed, consumed_time=steps * cfg.dt)
-    rec = _Recorder(cfg.record_every, keys)
     block = max(1, _BLOCK_BYTES // step_bytes)
     for step, theta, ops in _step_operators(operators, block, cfg, horizon, steps):
         t = step * cfg.dt
@@ -222,15 +201,13 @@ def _evolve(
         else:
             state = kernel(state, ops, cfg.tau, cfg.dt)
         del ops  # so the next block is built in the cache-warm memory this one frees
-        if rec.want(step):
-            rec.push(
-                t=t,
-                theta=theta,
-                purity=1.0 if sampled else purity(state),
-                z=[local_z(state, j) for j in range(1, cs.n + 1)],
-            )
+        if every and step % every == 0:
+            row = (t, theta, 1.0 if sampled else purity(state),
+                   [local_z(state, j) for j in range(1, cs.n + 1)])
             if sampled:
-                rec.push(r=readouts.copy(), rbar=fs.rbar.copy())
+                row += (readouts.copy(), fs.rbar.copy())
+            for values, value in zip(record.values(), row):
+                values.append(value)
         if detect and (hit := detect_failure(fs)) is not None:
             out.consumed_time = out.failed_at = t
             out.failed_clause = hit
@@ -239,7 +216,8 @@ def _evolve(
         if not sampled:
             state /= np.trace(state)
         out.final_state = state
-    out.diagnostics = rec.asdict()
+    if every:
+        out.diagnostics = {key: np.asarray(values) for key, values in record.items()}
     return out
 
 
@@ -334,8 +312,8 @@ def success_probability(
 
         P_s = 2^-n sum_b p_b (1+E)^(n-h) (1-E)^h,  h = Hamming(b, s),
 
-    summed over all oracle solutions (events disjoint once E is near 1; the
-    overlap at small dt_m is quantified in tests, not assumed away).
+    summed over all oracle solutions. The events sign(r) = s are disjoint
+    for distinct s, so the sum is exact at every dt_m.
     """
     n = f.num_vars
     d = 1 << n
@@ -351,7 +329,7 @@ def success_probability(
         ham = np.sum(bits != np.array(s), axis=1)
         weights = (1.0 + e_val) ** (n - ham) * (1.0 - e_val) ** ham
         total += float(diag @ weights) / d
-    return min(total, 1.0)
+    return total
 
 
 def run_full(

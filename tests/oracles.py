@@ -316,8 +316,8 @@ def unique_bias_success(z_t: float, dt_m: float, tau: float, n: int) -> float:
 
 
 def from_bitstring(bits: str) -> Assignment:
-    """Inverse of satcore.to_bitstring: '0' -> true, '1' -> false."""
-    return tuple(c == "0" for c in bits)
+    """Inverse of satcore.to_bitstring: '1' -> true, '0' -> false."""
+    return tuple(c == "1" for c in bits)
 
 
 # ---------------------------------------------------------------- fitting

@@ -107,7 +107,7 @@ def test_solve_unique_problem_succeeds(capsys):
     assert code == EXIT_SOLVED
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "solved"
-    assert payload["outcome"]["candidate"] == "01"
+    assert payload["outcome"]["candidate"] == "10"
     assert payload["outcome"]["verified"] is True
 
 
@@ -144,7 +144,7 @@ def test_solve_reads_dimacs_file(tmp_path, capsys):
         ["solve", str(cnf), "--Tf", "100", "--dt", "0.25", "--dtm", "50"]
     )
     assert code == EXIT_SOLVED
-    assert json.loads(capsys.readouterr().out)["outcome"]["candidate"] == "01"
+    assert json.loads(capsys.readouterr().out)["outcome"]["candidate"] == "10"
 
 
 def test_solve_missing_file_is_usage_error(capsys):
@@ -181,6 +181,7 @@ def test_counts_below_one_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
 SCHEDULE_FILES = {
     "nan_schedule.json": "[[0.0, 0.0], [NaN, 1.0], [1.0, 1.5707963267948966]]",
     "scalar_schedule.json": "5",
+    "null_schedule.json": "null",
     "text_schedule.json": '[[0.0, 0.0], [1, "x"], [1.0, 1.5707963267948966]]',
     "short_schedule.json": "[[0.0, 0.0], [0.5], [1.0, 1.5707963267948966]]",
 }
@@ -191,10 +192,11 @@ SCHEDULE_FILES = {
     (["--dtm", "inf"], "must be finite"), (["--tau", "nan"], "must be finite"),
     (["--schedule", "nan_schedule.json"], "must be finite"),
     (["--schedule", "scalar_schedule.json"], "pairs of real numbers"),
+    (["--schedule", "null_schedule.json"], "pairs of real numbers"),
     (["--schedule", "text_schedule.json"], "pairs of real numbers"),
     (["--schedule", "short_schedule.json"], "pairs of real numbers"),
 ], ids=["tf-inf", "dt-nan", "dtm-inf", "tau-nan", "schedule-nan", "schedule-scalar",
-        "schedule-text", "schedule-short-row"])
+        "schedule-null", "schedule-text", "schedule-short-row"])
 def test_non_finite_times_are_usage_errors(option, message, tmp_path, monkeypatch, capsys):
     # refused before any step runs, with no traceback; so are malformed
     # schedule files

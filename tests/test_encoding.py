@@ -90,6 +90,16 @@ def test_linear_schedule():
     # clamped outside [0, 1]
     assert s.theta(-1.0) == 0.0
     assert s.theta(2.0) == pytest.approx(math.pi / 2)
+    # the default table's two rows interpolate to (pi/2) u bit for bit
+    us = np.concatenate([
+        np.random.default_rng(3).random(10_000), np.arange(4001) * 0.01 / 40.0,
+        np.arange(1, 683) * 0.25 / 170.5, [0.0, 1.0],
+    ])
+    assert np.array_equal(s.theta(us), (math.pi / 2) * us)
+    assert all(s.theta(u) == (math.pi / 2) * u for u in us[::50].tolist())
+    clipped = np.array([-2.0, -1e-300, 1.0 + 1e-12, 3.0])
+    assert np.array_equal(s.theta(clipped), [0.0, 0.0, math.pi / 2, math.pi / 2])
+    assert s.theta(-0.5) == 0.0 and s.theta(7.0) == math.pi / 2
 
 
 def test_custom_schedule_interpolates():
@@ -121,7 +131,7 @@ def test_custom_schedule_arrays_built_once_keep_theta_bitwise(table):
 
 
 @pytest.mark.parametrize("table", [
-    None,
+    ((0.0, 0.0), (1.0, math.pi / 2)),
     ((0.0, 0.0), (0.5, 1.0), (1.0, math.pi / 2)),
     ((0, 0), (0.25, 0.2), (0.25, 0.4), (0.7, 0.4), (1, math.pi / 2)),
 ], ids=["linear", "bend", "jump-plateau"])

@@ -158,6 +158,25 @@ def test_concurrence_anchors():
         concurrence_2q(np.eye(8) / 8)
 
 
+def test_concurrence_is_lipschitz_at_a_rank_one_state():
+    # a pure state with C = 0.865 under generic local unitaries: rho rho~ has
+    # three zero eigenvalues, whose rounding a square root would blow up
+    def local_unitary(seed):
+        z = np.random.default_rng(seed).standard_normal((2, 2, 2)) @ [1.0, 1.0j]
+        q, r = np.linalg.qr(z)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    half = 0.5 * np.arcsin(0.865)
+    psi = np.kron(local_unitary(1), local_unitary(2)) @ [np.cos(half), 0.0, 0.0, np.sin(half)]
+    rho = density(psi)
+    assert concurrence_2q(rho) == pytest.approx(0.865, abs=1e-13)
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        e = rng.standard_normal((4, 4))
+        e = 1e-15 * (e + e.T) / np.max(np.abs(e + e.T))
+        assert abs(concurrence_2q(rho + e) - concurrence_2q(rho)) < 1e-13
+
+
 def test_reduced_density_of_product_state():
     a, b, c = KET1, plus_state(1), KET0
     rho = density(kron_all([a, b, c]))

@@ -70,9 +70,9 @@ def test_formula_properties():
 
 
 def test_bitstring_roundtrip():
-    # convention: a true variable renders as bit '0'
-    assert to_bitstring((True, False)) == "01"
-    assert from_bitstring("01") == (True, False)
+    # convention: a true variable renders as bit '1', its bit in a basis index
+    assert to_bitstring((True, False)) == "10"
+    assert from_bitstring("10") == (True, False)
     assert from_bitstring(to_bitstring((True, True, False))) == (True, True, False)
 
 

@@ -2,6 +2,7 @@
 restarts, the terminal readout model, and the exact success probability.
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -29,12 +30,15 @@ from zenosat.qlinalg import (
 )
 from zenosat.satcore import (
     CnfFormula,
+    SolutionSet,
     TWO_SAT_TWO_SOLUTIONS,
     TWO_SAT_UNIQUE,
     TWO_SAT_UNSAT,
     enumerate_solutions,
     evaluate,
+    formula,
     random_instance,
+    to_bitstring,
 )
 from zenosat.solver import (
     RunConfig,
@@ -232,6 +236,17 @@ def test_reported_times_stay_python_floats():
             assert out.diagnostics[key].dtype == np.float64
 
 
+def test_run_aborted_before_its_first_record_reports_empty_diagnostics():
+    cfg = cfg_with(t_f=20.0, dt=0.25, record_every=10**6)
+    out = run_heralded_single(TWO_SAT_UNSAT, cfg, np.random.default_rng(0))
+    assert out.failed
+    assert list(out.diagnostics) == ["t", "theta", "purity", "z", "r", "rbar"]
+    for values in out.diagnostics.values():
+        assert values.shape == (0,) and values.dtype == np.float64
+    unrecorded = run_heralded_single(TWO_SAT_UNSAT, cfg_with(), np.random.default_rng(0))
+    assert unrecorded.diagnostics is None
+
+
 def test_continuum_stack_over_the_budget_builds_one_step_per_call(monkeypatch):
     # a one-step stack larger than the block budget is built alone, so a step
     # holds one (m, 2^n, 2^n) stack as the dense memory refusal counts
@@ -308,6 +323,16 @@ def test_readout_exact_on_basis_states():
     assert r[0] > 0 > r[1]
 
 
+def test_readout_candidate_prints_its_basis_index():
+    # a printed candidate is the basis index it was read from, qubit 1 first
+    rng = np.random.default_rng(4)
+    for b in range(8):
+        psi = np.zeros(8)
+        psi[b] = 1.0
+        _, candidate = readout(psi, tau=1.0, dt_m=1e12, rng=rng)
+        assert to_bitstring(candidate) == format(b, "03b")
+
+
 def test_readout_error_rate_matches_erf_model():
     rho = np.zeros((2, 2))
     rho[1, 1] = 1.0  # single qubit pinned at |1> (true)
@@ -341,6 +366,23 @@ def test_success_probability_limits():
     assert success_probability(rho, TWO_SAT_UNIQUE, 1.0, 1e12) == pytest.approx(1.0)
     assert success_probability(rho, TWO_SAT_UNIQUE, 1.0, 0.0) == pytest.approx(0.25)
     assert success_probability(plus_density(2), TWO_SAT_UNSAT, 1.0, 50.0) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_success_probability_over_every_assignment_is_one(n):
+    # the events sign(r) = s are disjoint, so over all 2^n assignments they
+    # cover every readout and sum to 1, with no clip
+    rng = np.random.default_rng(n)
+    every = SolutionSet(tuple(itertools.product((False, True), repeat=n)))
+    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    psi /= np.linalg.norm(psi)
+    a = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    f = formula(n, (1,))
+    for state in (psi, rho):
+        for dt_m in (0.0, 0.3, 5.0):
+            assert abs(success_probability(state, f, 1.0, dt_m, every) - 1.0) < 1e-12
 
 
 def test_success_probability_product_state_closed_form():
@@ -544,10 +586,10 @@ def test_run_full_average_pipeline():
     cfg = cfg_with(t_f=200.0, dt=0.02, mode="average", dt_m=50.0)
     out = run_full(TWO_SAT_UNIQUE, cfg, np.random.default_rng(0))
     assert out.verified
-    assert out.candidate_bits == "01"
+    assert out.candidate_bits == "10"
     assert out.consumed_time == pytest.approx(200.0 + 50.0)
     d = out.to_dict()
-    assert d["candidate"] == "01" and d["verified"] is True
+    assert d["candidate"] == "10" and d["verified"] is True
     assert json.loads(json.dumps(d)) == d
 
 
