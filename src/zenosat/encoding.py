@@ -6,8 +6,10 @@ along ry(-theta)|+>. At theta = pi/2 true sits at |1> and false at |0>,
 consistent with the bitstring convention true -> '1' and the readout axis
 |1><1| - |0><0|.
 
-Every clause operator comes from one source: the clause's violating vector
-on its own k qubits and its table of basis indices.
+Every clause operator comes from one source: the literal states of the
+clause, the violating single-qubit state of each literal (their Kronecker
+product is the clause's violating vector on its own k qubits), and its table
+of basis indices.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .qlinalg import kron_all
+from .qlinalg import kron_all, kron_vectors
 from .satcore import Assignment, CnfFormula, SatError, evaluate
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -91,28 +93,33 @@ class Schedule:
 # Pure Kraus steps (all m clauses in place on psi), in 2^n-vectors: 3.24 at
 # n = 12, m = 52 and 3.14 at n = 14, m = 60 (psi, the state in one clause's
 # frame while it moves to the next, and the rank-1 update). Averaged steps
-# (all m clauses in place on rho), in density matrices: 3.38 at n = 9, m = 39
-# and n = 10, m = 43 (rho, W, one clause's gathered rows or the outer product
-# scattered into W, and 2^-k-sized row and column gathers). Small arrays and
-# ufunc buffers add at lower n (4.27 density matrices at n = 7, 4.23 vectors
-# at n = 8).
+# (all m clauses in place on rho, average_map's frame body), in density
+# matrices: 2.30 at n = 9, m = 39 and 2.28 at n = 10, m = 43 (rho, which also
+# holds each clause's column contraction, S in its other frame buffer, and
+# 2^-k-sized row and column terms). Small arrays and ufunc buffers add at
+# lower n, where the row-gather body also holds W (4.28 density matrices at
+# n = 7, 4.23 vectors at n = 8), little in bytes.
 _PEAK_STACKS = 3
 _PEAK_VECTORS = 4
-_PEAK_DENSITIES = 4
+_PEAK_DENSITIES = 3
 
 
 class ClauseSet:
     """All clause operators of a formula, derived from two per-clause tables.
 
-    The (m, 2^k) violating vectors v_i(theta), the product of each clause's
-    violating single-qubit states, and per clause a table of basis indices
-    that lays a state vector psi (or the rows of a density matrix) out as a
+    The (m, k, 2) literal states u_ij(theta), each literal's violating
+    single-qubit state, whose Kronecker products are the (m, 2^k) violating
+    vectors v_i(theta), and per clause a table of basis indices that lays a
+    state vector psi (or the rows of a density matrix) out as a
     (2^k, 2^(n-k)) block, clause qubits first: clause i's frame. The clause
     projector acts as P_i psi = v_i (v_i^T block); the discrete kernels use
-    it in that form. The averaged map gathers each clause's rows of rho
-    through its table. The Kraus step moves psi from frame to frame, with
-    the m+1 permutations of ``frames`` derived once from the tables, so each
-    clause costs one permutation rather than a gather and a scatter.
+    it in that form. The Kraus step moves psi from frame to frame, with the
+    m+1 permutations of ``frames`` derived once from the tables, so each
+    clause costs one permutation rather than a gather and a scatter. The
+    averaged map takes the literal states: on small registers it gathers
+    each clause's rows of rho through its table, on large ones it walks the
+    frames with the rows of rho's half S and contracts S's columns one
+    literal state at a time.
 
     The continuum kernels take dense (m, 2^n, 2^n) observable stacks
     X_i(theta) = 1 - 2 P_i(theta), built per call by scattering each
@@ -132,7 +139,7 @@ class ClauseSet:
     def require_memory(self, form: str = "dense") -> None:
         """Raise ValueError when a run's per-step arrays would not fit in
         physical memory: the index tables (with the m 2^k-row position tables
-        for "dense" and the m+1 frame permutations for "psi") plus
+        for "dense" and the m+1 frame permutations for "psi" and "rho") plus
         _PEAK_STACKS dense operator stacks, _PEAK_VECTORS state vectors or
         _PEAK_DENSITIES density matrices."""
         floats, what, rows = {
@@ -141,7 +148,7 @@ class ClauseSet:
             "psi": (_PEAK_VECTORS * self.dim, "index tables and state vectors",
                     2 * self.m + 1),
             "rho": (_PEAK_DENSITIES * self.dim**2, "index tables and density matrices",
-                    self.m),
+                    2 * self.m + 1),
         }[form]
         tables = rows * np.dtype(np.intp).itemsize * self.dim
         need = 8 * floats + tables
@@ -195,23 +202,23 @@ class ClauseSet:
         tuple, so that a step iterates it without making a view per row."""
         return tuple(frame_permutations(self.index))
 
-    def violating_vectors(self, theta) -> np.ndarray:
-        """(m, 2^k) product of each clause's violating single-qubit states,
-        in literal order, at theta: the state orthogonal to the literal's
-        encoded satisfying one, u = (-s - c, c - s)/sqrt 2 = ry(pi + theta)|+>
-        for a positive literal and u = (s - c, c + s)/sqrt 2 = ry(pi - theta)|+>
+    def literal_states(self, theta) -> np.ndarray:
+        """(m, k, 2) violating single-qubit state of each clause literal, in
+        literal order, at theta: the state orthogonal to the literal's encoded
+        satisfying one, u = (-s - c, c - s)/sqrt 2 = ry(pi + theta)|+> for a
+        positive literal and u = (s - c, c + s)/sqrt 2 = ry(pi - theta)|+>
         for a negated one, with c, s = cos, sin(theta/2). An array of S
-        angles gives (S, m, 2^k)."""
+        angles gives (S, m, k, 2)."""
         half = np.divide(theta, 2.0)
         c, s = np.cos(half), np.sin(half)
         u = np.stack([-s - c, c - s, s - c, c + s], axis=-1) / math.sqrt(2.0)
         u = u.reshape(u.shape[:-1] + (2, 2))  # (..., sign, 2)
-        factors = np.take(u, self._signs, axis=-2)  # (..., m, k, 2), step-major
-        v = factors[..., 0, :]
-        for j in range(1, self.k):
-            v = v[..., :, None] * factors[..., j, None, :]
-            v = v.reshape(v.shape[:-2] + (-1,))
-        return v
+        return np.take(u, self._signs, axis=-2)  # step-major
+
+    def violating_vectors(self, theta) -> np.ndarray:
+        """(m, 2^k) violating vectors at theta, the Kronecker product of each
+        clause's literal states; an array of S angles gives (S, m, 2^k)."""
+        return kron_vectors(self.literal_states(theta))
 
 
 def frame_permutations(index: np.ndarray) -> Iterator[np.ndarray]:

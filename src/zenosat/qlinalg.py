@@ -33,6 +33,16 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def kron_vectors(factors: np.ndarray) -> np.ndarray:
+    """(..., k, d) stacks of k vectors to the (..., d^k) Kronecker products
+    of each stack, the first vector the most significant factor."""
+    out = factors[..., 0, :]
+    for j in range(1, factors.shape[-2]):
+        out = out[..., :, None] * factors[..., j, None, :]
+        out = out.reshape(out.shape[:-2] + (-1,))
+    return out
+
+
 def plus_state(n: int) -> np.ndarray:
     """|+>^n as an amplitude vector."""
     d = 1 << n

@@ -175,8 +175,8 @@ def assignment_bits(index, n: int) -> np.ndarray:
     array), as a 0/1 array of shape index.shape + (n,), variable and qubit 1
     first: column j-1 is bit n-j, the tensor-factor order of ``qlinalg``.
     Variable j is true iff its bit is 1, so index 0 is the all-false
-    assignment. The oracle, the readout and the success probability all
-    turn indices into bits here.
+    assignment. The oracle and the readout turn indices into bits here; the
+    success probability indexes the (2,)*n basis tensor by the bits.
     """
     shifts = np.arange(n - 1, -1, -1)
     return (np.asarray(index, dtype=np.int64)[..., None] >> shifts) & 1

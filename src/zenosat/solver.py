@@ -157,9 +157,10 @@ def _evolve(
     Lindblad step in the continuum regime); both keep tr rho up to rounding,
     which is divided out once, when the run returns. Each kernel is the
     dynamics function itself and advances all m clauses by dt in one call: the
-    discrete ones through violating vectors and, bound here, the index tables
-    (averaged map) or the frame permutations derived from them (Kraus step),
-    the continuum ones through dense observable stacks. Kernels are looked up
+    Kraus step through violating vectors and, bound here, the frame
+    permutations; the averaged map through literal states and, bound here,
+    the index tables and the frame permutations derived from them; the
+    continuum ones through dense observable stacks. Kernels are looked up
     in this module when a run starts, so patches of these names (tracing,
     profiling) reach every call.
 
@@ -176,13 +177,13 @@ def _evolve(
     if cfg.continuum:
         operators, kernel = cs.observables, sme_step if sampled else lindblad_step
         step_bytes = 8 * cs.m * cs.dim**2
-    else:
-        operators = cs.violating_vectors
-        if sampled:
-            kernel = partial(kraus_measure, frames=cs.frames)
-        else:
-            kernel = partial(average_map, index=cs.index)
+    elif sampled:
+        operators, kernel = cs.violating_vectors, partial(kraus_measure, frames=cs.frames)
         step_bytes = 8 * cs.m * (1 << cs.k)
+    else:
+        operators = cs.literal_states
+        kernel = partial(average_map, index=cs.index, frames=cs.frames)
+        step_bytes = 8 * cs.m * cs.k * 2
     if sampled:
         mode, keys = "heralded-single", ("t", "theta", "purity", "z", "r", "rbar")
         fs = FilterState(cfg.filter_config(horizon), (cs.m,))
@@ -313,23 +314,23 @@ def success_probability(
         P_s = 2^-n sum_b p_b (1+E)^(n-h) (1-E)^h,  h = Hamming(b, s),
 
     summed over all oracle solutions. The events sign(r) = s are disjoint
-    for distinct s, so the sum is exact at every dt_m.
+    for distinct s, so the sum is exact at every dt_m. The weight is a
+    product over qubits, so the basis probabilities pass once along each
+    qubit through the 2x2 matrix [[1+E, 1-E], [1-E, 1+E]]/2, and P_s sums
+    the result at the solutions' basis indices.
     """
     n = f.num_vars
-    d = 1 << n
     if solutions is None:
         solutions = enumerate_solutions(f)
     if solutions.count == 0:
         return 0.0
     e_val = math.erf(math.sqrt(dt_m / (2.0 * tau))) if dt_m > 0 else 0.0
-    diag = basis_probabilities(state)
-    bits = assignment_bits(np.arange(d), n)
-    total = 0.0
-    for s in solutions.assignments:
-        ham = np.sum(bits != np.array(s), axis=1)
-        weights = (1.0 + e_val) ** (n - ham) * (1.0 - e_val) ** ham
-        total += float(diag @ weights) / d
-    return total
+    flip = np.array([[1.0 + e_val, 1.0 - e_val], [1.0 - e_val, 1.0 + e_val]]) / 2.0
+    probs = basis_probabilities(state)
+    for _ in range(n):  # each pass makes the last qubit the first
+        probs = (probs.reshape(-1, 2) @ flip).T.reshape(-1)
+    probs = probs.reshape((2,) * n)  # axis j: qubit j + 1
+    return float(probs[tuple(np.array(solutions.assignments, dtype=np.intp).T)].sum())
 
 
 def run_full(

@@ -5,7 +5,8 @@ and scattered per clause, the dense-rho Kraus step and averaged map, the
 integral form of the readout filter, the Lindblad step as per-clause stacks
 renormalized every step, a Heun Lindblad step), plus closed forms, Pauli
 matrices, the co-rotating frame, the Zeno diagnostic, the trace distance and
-a classical baseline solver that only tests use.
+a classical baseline solver that only tests use, and the success
+probability summed solution by solution over Hamming distances.
 """
 
 import math
@@ -15,8 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from zenosat.encoding import PLUS, ClauseSet, ry
-from zenosat.qlinalg import SIGMA_Y, kron_all, num_qubits, plus_density
-from zenosat.satcore import Assignment, CnfFormula, formula
+from zenosat.qlinalg import (SIGMA_Y, basis_probabilities, kron_all, num_qubits,
+                              plus_density)
+from zenosat.satcore import Assignment, CnfFormula, SolutionSet, assignment_bits, formula
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -305,6 +307,23 @@ def windowed_filter_reference(
 
 
 # ---------------------------------------------------------------- readout
+
+
+def success_probability_by_solution(
+    state: np.ndarray, n: int, tau: float, dt_m: float, solutions: SolutionSet
+) -> float:
+    """P_s = 2^-n sum_s sum_b p_b (1+E)^(n-h) (1-E)^h with h = Hamming(b, s),
+    one solution at a time against all 2^n basis bit rows."""
+    d = 1 << n
+    e_val = math.erf(math.sqrt(dt_m / (2.0 * tau))) if dt_m > 0 else 0.0
+    diag = basis_probabilities(state)
+    bits = assignment_bits(np.arange(d), n)
+    total = 0.0
+    for s in solutions.assignments:
+        ham = np.sum(bits != np.array(s), axis=1)
+        weights = (1.0 + e_val) ** (n - ham) * (1.0 - e_val) ** ham
+        total += float(diag @ weights) / d
+    return total
 
 
 def unique_bias_success(z_t: float, dt_m: float, tau: float, n: int) -> float:

@@ -11,11 +11,13 @@ import pytest
 from oracles import (
     CLAUSE_LAYOUTS,
     average_map_dense,
+    clause_observable,
     kraus_measure_gathered,
     lindblad_step_heun,
     lindblad_step_stacked,
     trace_distance,
 )
+from zenosat import dynamics
 from zenosat.dynamics import average_map, kraus_measure, lindblad_step, sme_step
 from zenosat.encoding import ClauseSet, frame_permutations
 from zenosat.qlinalg import plus_density, plus_state, validate_density
@@ -29,11 +31,14 @@ from zenosat.satcore import (
 CLAUSES = ClauseSet(TWO_SAT_UNIQUE)
 X_OBS = CLAUSES.observables(0.8)  # (3, 4, 4) stack
 V_OBS = CLAUSES.violating_vectors(0.8)  # (3, 4): the same clauses, pure form
+U_OBS = CLAUSES.literal_states(0.8)  # (3, 2, 2): their literal states
 
 
 def average(rho, i, tau, dt):
     """average_map of clause i alone on a copy of rho, through its index table."""
-    return average_map(rho.copy(), V_OBS[i:i + 1], tau, dt, CLAUSES.index[i:i + 1])
+    index = CLAUSES.index[i:i + 1]
+    return average_map(rho.copy(), U_OBS[i:i + 1], tau, dt, index,
+                       tuple(frame_permutations(index)))
 
 
 def measure(psi, i, tau, dt, rng):
@@ -179,11 +184,50 @@ def test_average_map_matches_dense_map_on_complex_rho(case):
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     for theta in (0.0, 0.6, math.pi / 2):
-        for v, idx, x in zip(cs.violating_vectors(theta), cs.index,
+        for u, idx, x in zip(cs.literal_states(theta), cs.index,
                              cs.observables(theta)):
-            out = average_map(rho.copy(), v[None], 1.5, 0.4, idx[None])
+            out = average_map(rho.copy(), u[None], 1.5, 0.4, idx[None],
+                              tuple(frame_permutations(idx[None])))
             assert np.max(np.abs(out - average_map_dense(rho, x, 1.5, 0.4))) < 1e-15
             validate_density(out)
+
+
+def relative_gap(out, ref):
+    return np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_average_map_frame_body_matches_row_gather_and_dense(n, monkeypatch):
+    # from _FRAME_QUBITS qubits up, average_map holds rho as S + S^dag with
+    # S's rows in clause frames; it agrees with the row-gather body (forced by
+    # raising the crossover) over all m clauses, and with the dense map for
+    # one clause, on real and complex Hermitian rho (the map is linear, so
+    # they need not be positive); at theta = pi/2 every literal state has a
+    # zero entry
+    assert n >= dynamics._FRAME_QUBITS
+    f = random_instance(n, 4.3, 3, np.random.default_rng(n))
+    cs = ClauseSet(f)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(cs.dim, cs.dim))
+    b = a + 1j * rng.normal(size=(cs.dim, cs.dim))
+    states = [a + a.T, b + b.conj().T]
+    one = cs.index[:1], tuple(frame_permutations(cs.index[:1]))
+    for theta in (0.0, 0.6, math.pi / 2):
+        us = cs.literal_states(theta)
+        x = clause_observable(f, 0).observable(theta)
+        for rho in states:
+            framed = average_map(rho.copy(), us, 1.5, 0.4, cs.index, cs.frames)
+            single = average_map(rho.copy(), us[:1], 1.5, 0.4, *one)
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_FRAME_QUBITS", n + 1)
+                rows = average_map(rho.copy(), us, 1.5, 0.4, cs.index, cs.frames)
+                single_rows = average_map(rho.copy(), us[:1], 1.5, 0.4, *one)
+            assert relative_gap(framed, rows) < 1e-14
+            assert relative_gap(single, single_rows) < 1e-14
+            dense = average_map_dense(rho.real, x, 1.5, 0.4)
+            if np.iscomplexobj(rho):
+                dense = dense + 1j * average_map_dense(rho.imag, x, 1.5, 0.4)
+            assert relative_gap(single, dense) < 1e-14
 
 
 # ---------------------------------------------------------------- lindblad

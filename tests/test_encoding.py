@@ -26,7 +26,7 @@ from zenosat.encoding import (
     ry,
     solution_state,
 )
-from zenosat.qlinalg import plus_density, plus_state
+from zenosat.qlinalg import kron_all, plus_density, plus_state
 from zenosat.satcore import (
     SatError,
     TWO_SAT_TWO_SOLUTIONS,
@@ -257,6 +257,19 @@ def test_clause_operators_of_an_array_are_the_stacked_scalar_ones(case):
     assert np.max(np.abs(xs - scalars)) <= 1e-15
 
 
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_violating_vectors_are_the_fold_of_the_literal_states(case):
+    # average_map folds the literal states it is given with the helper that
+    # violating_vectors uses, so the Kraus and averaged kernels see one v
+    cs = ClauseSet(STACK_CASES[case])
+    for theta in (0.7, np.linspace(-0.2, math.pi / 2 + 0.2, 37)):
+        us = cs.literal_states(theta)
+        assert us.shape == np.shape(theta) + (cs.m, cs.k, 2)
+        folded = [kron_all(list(literals)) for literals in us.reshape(-1, cs.k, 2)]
+        vs = cs.violating_vectors(theta)
+        assert np.array_equal(vs, np.reshape(folded, vs.shape))
+
+
 def test_stack_build_holds_no_stack_and_is_counted_by_the_refusal(monkeypatch):
     # a ClauseSet keeps only its index and position tables once a stack is
     # built, one build peaks below the _PEAK_STACKS stacks the dense refusal
@@ -346,15 +359,17 @@ def test_pure_refusal_constant_follows_measured_step_peak():
 
 
 def test_averaged_refusal_constant_follows_measured_step_peak():
-    # a discrete averaged run counts its index tables plus _PEAK_DENSITIES
-    # density matrices, rho included; one averaged step of all m clauses, in
-    # place on rho, must peak below that, and within one density matrix of it
+    # a discrete averaged run counts its index tables and frame permutations
+    # plus _PEAK_DENSITIES density matrices, rho included; one averaged step
+    # of all m clauses (the frame body at n = 9), in place on rho, must peak
+    # below that, and within one density matrix of it
     f = random_instance(9, 4.3, 3, np.random.default_rng(0))
     cs = ClauseSet(f)
-    rho, index, vs = plus_density(f.num_vars), cs.index, cs.violating_vectors(0.7)
+    rho, index, frames = plus_density(f.num_vars), cs.index, cs.frames
+    us = cs.literal_states(0.7)
     tracemalloc.start()
     try:
-        out = solver.average_map(rho, vs, 1.0, 0.25, index=index)
+        out = solver.average_map(rho, us, 1.0, 0.25, index=index, frames=frames)
         peak = tracemalloc.get_traced_memory()[1] / rho.nbytes
     finally:
         tracemalloc.stop()

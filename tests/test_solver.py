@@ -16,10 +16,11 @@ from oracles import (
     CLAUSE_LAYOUTS,
     dense_average_run,
     dense_heralded_run,
+    success_probability_by_solution,
     trace_distance,
     unique_bias_success,
 )
-from zenosat import encoding, solver
+from zenosat import dynamics, encoding, solver
 from zenosat.encoding import ClauseSet, Schedule, solution_state
 from zenosat.qlinalg import (
     fidelity_pure,
@@ -291,13 +292,24 @@ def test_local_averaged_run_matches_dense_maps(case, plateau):
     assert np.max(np.abs(out.final_state - dense_average_run(f, cfg))) < 1e-13
 
 
+def test_frame_body_averaged_run_matches_dense_maps():
+    # at n = 8 average_map holds rho as S + S^T with S's rows in clause
+    # frames; two steps of a run give the dense maps' final state
+    f = random_instance(8, 4.3, 3, np.random.default_rng(8))
+    assert f.num_vars >= dynamics._FRAME_QUBITS
+    cfg = cfg_with(t_f=0.5, dt=0.25)
+    out = run_average(f, cfg)
+    assert np.max(np.abs(out.final_state - dense_average_run(f, cfg))) < 1e-12
+
+
 def test_discrete_averaged_run_needs_no_dense_memory(monkeypatch):
-    # memory for exactly the index tables and _PEAK_DENSITIES density
-    # matrices, far less than the dense stacks: the discrete run completes, a
-    # continuum run is refused, and one byte less refuses the discrete run
+    # memory for exactly the index tables, the frame permutations and
+    # _PEAK_DENSITIES density matrices, far less than the dense stacks: the
+    # discrete run completes, a continuum run is refused, and one byte less
+    # refuses the discrete run
     f = random_instance(6, 4.3, 3, np.random.default_rng(6))
     cs = ClauseSet(f)
-    tables = np.dtype(np.intp).itemsize * cs.m * cs.dim
+    tables = np.dtype(np.intp).itemsize * (2 * cs.m + 1) * cs.dim
     local = tables + 8 * encoding._PEAK_DENSITIES * cs.dim**2
     assert local < 8 * cs.m * cs.dim**2
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": local}
@@ -383,6 +395,26 @@ def test_success_probability_over_every_assignment_is_one(n):
     for state in (psi, rho):
         for dt_m in (0.0, 0.3, 5.0):
             assert abs(success_probability(state, f, 1.0, dt_m, every) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_success_probability_matches_the_sum_over_solutions(n):
+    # one pass per qubit over the basis probabilities in place of a pass
+    # over all 2^n bit rows per solution; rho is checked to n = 10 (8 MiB)
+    rng = np.random.default_rng(n)
+    f = random_instance(n, 2.0, min(n, 3), rng)
+    sols = enumerate_solutions(f)
+    assert sols.count > 0
+    psi = rng.standard_normal(2**n)
+    psi /= np.linalg.norm(psi)
+    states = [psi]
+    if n <= 10:
+        a = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
+        states.append(a @ a.conj().T / np.vdot(a, a).real)
+    for state in states:
+        for dt_m in (0.0, 0.3, 5.0):
+            exact = success_probability_by_solution(state, n, 1.0, dt_m, sols)
+            assert abs(success_probability(state, f, 1.0, dt_m, sols) - exact) < 1e-15
 
 
 def test_success_probability_product_state_closed_form():
