@@ -198,22 +198,17 @@ def _exp_gamma_scan(spec: dict) -> tuple:
 
 
 def _exp_phase_transition(spec: dict, jobs: int) -> tuple:
-    header = ["n", "k", "alpha", "t_f", "mode", "num_instances", "p_succ"]
+    n, k, alphas = spec["n"], spec["k"], spec["alphas"]
+    instances = spec.get("instances", 200)
     rows = []
     for mode in spec.get("modes", ["average"]):
         for t_f in spec["tf_list"]:
-            curve = phase_transition_curve(
-                n=spec["n"],
-                k=spec["k"],
-                alphas=spec["alphas"],
-                cfg=_sweep_config(spec, t_f, mode),
-                num_instances=spec.get("instances", 200),
-                seed=spec["seed"],
-                shots=spec.get("shots", 1),
-                jobs=jobs,
-            )
-            rows.extend([point[col] for col in header] for point in curve)
-    return header, rows
+            cfg = _sweep_config(spec, t_f, mode)
+            curve = phase_transition_curve(n, k, alphas, cfg, instances, spec["seed"],
+                                           spec.get("shots", 1), jobs)
+            rows.extend([n, k, alpha, cfg.t_f, mode, instances, p]
+                        for alpha, p in zip(alphas, curve))
+    return ["n", "k", "alpha", "t_f", "mode", "num_instances", "p_succ"], rows
 
 
 def _tts(spec: dict, cfg: RunConfig, instances: Iterable[CnfFormula],
@@ -313,8 +308,8 @@ def _coerce(value: str):
 
 _LIST_KEYS = ("tf_list", "n_list", "alphas", "gamma_tf", "tf_over_tau", "dt_over_tau",
               "modes")
-_COUNT_KEYS = ("n_list", "seed", "n", "k", "instances", "shots", "trajectories",
-               "record_every")
+_COUNT_KEYS = ("n_list", "n", "k", "instances", "shots", "trajectories")  # at least 1
+_INTEGER_KEYS = _COUNT_KEYS + ("seed", "record_every")
 _NUMBER_KEYS = ("tf_list", "alphas", "gamma_tf", "tf_over_tau", "dt_over_tau", "tau",
                 "dt", "dtm", "tf", "alpha", "p_star")
 
@@ -338,8 +333,11 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
         if key in _LIST_KEYS and not isinstance(value, list):
             raise ValueError(f"{kind} spec key {key!r} must be a JSON array")
         values = value if key in _LIST_KEYS else [value]
-        if key in _COUNT_KEYS and any(type(v) is not int for v in values):
+        if key in _INTEGER_KEYS and any(type(v) is not int for v in values):
             raise ValueError(f"{kind} spec key {key!r} must hold integers, got {value!r}")
+        if key in _COUNT_KEYS and any(v < 1 for v in values):
+            raise ValueError(f"{kind} spec key {key!r} must hold integers >= 1,"
+                             f" got {value!r}")
         if key in _NUMBER_KEYS and any(type(v) not in (int, float) for v in values):
             raise ValueError(f"{kind} spec key {key!r} must hold numbers, got {value!r}")
     name = spec.get("name", kind.replace("-", "_").lower())

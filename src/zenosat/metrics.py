@@ -67,32 +67,6 @@ def _decide_instance(args) -> bool:
     return any_verified if sat else not any_verified
 
 
-def phase_transition_point(
-    n: int,
-    alpha: float,
-    k: int,
-    cfg: RunConfig,
-    num_instances: int,
-    rng: np.random.Generator,
-    shots: int = 1,
-    jobs: int = 1,
-) -> float:
-    """Empirical P_succ = N_succ / N_prob at one (alpha, T_f) grid point."""
-    tasks = []
-    for _ in range(num_instances):
-        f = random_instance(n, alpha, k, rng)
-        tasks.append((f, cfg, shots, int(rng.integers(2**63))))
-    if jobs > 1:
-        # imported here: multiprocessing would add to every `import zenosat`
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_decide_instance, tasks, chunksize=4))
-    else:
-        results = [_decide_instance(t) for t in tasks]
-    return float(np.mean(results))
-
-
 def phase_transition_curve(
     n: int,
     k: int,
@@ -102,26 +76,30 @@ def phase_transition_curve(
     seed: int,
     shots: int = 1,
     jobs: int = 1,
-) -> list[dict]:
-    """P_succ(alpha) rows for one (n, k, T_f, mode) configuration."""
-    rows = []
+) -> list[float]:
+    """Empirical P_succ = N_succ / N_prob at each alpha, for one (n, k, T_f,
+    mode) configuration.
+
+    Each alpha draws its instances, each followed by its run seed, from a
+    generator seeded with [seed, round(1000 alpha)]. With jobs > 1 one
+    process pool decides the instances of the whole curve, which changes no
+    value.
+    """
+    tasks = []
     for alpha in alphas:
         rng = np.random.default_rng([seed, int(round(alpha * 1000))])
-        p = phase_transition_point(
-            n, alpha, k, cfg, num_instances, rng, shots=shots, jobs=jobs
-        )
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "alpha": alpha,
-                "t_f": cfg.t_f,
-                "mode": cfg.mode,
-                "num_instances": num_instances,
-                "p_succ": p,
-            }
-        )
-    return rows
+        for _ in range(num_instances):
+            f = random_instance(n, alpha, k, rng)
+            tasks.append((f, cfg, shots, int(rng.integers(2**63))))
+    if jobs > 1:
+        # imported here: multiprocessing would add to every `import zenosat`
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_decide_instance, tasks, chunksize=4))
+    else:
+        results = [_decide_instance(t) for t in tasks]
+    return np.reshape(results, (len(alphas), num_instances)).mean(axis=1).tolist()
 
 
 def fit_lambda(points: Sequence[tuple[int, float]]) -> ScalingFit:

@@ -76,11 +76,6 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    @property
-    def alpha(self) -> float:
-        """Clause density m/n."""
-        return self.num_clauses / self.num_vars
-
 
 @dataclass(frozen=True)
 class SolutionSet:

@@ -285,10 +285,9 @@ def test_acceptance_08_phase_transition_dip():
                 cfg = RunConfig(
                     t_f=t_f, dt=0.25, dt_m=50.0, tau=TAU, mode=mode
                 )
-                rows = phase_transition_curve(
+                curves[(mode, t_f)] = phase_transition_curve(
                     n, k, alphas, cfg, instances, seed=1000 + k
                 )
-                curves[(mode, t_f)] = [r["p_succ"] for r in rows]
         avg_long = curves[("average", max(tf_list))]
         her_long = curves[("heralded-restart", max(tf_list))]
         dip_idx = int(np.argmin(avg_long))

@@ -547,6 +547,40 @@ def test_experiment_count_key_must_be_integer(spec, key, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+PT_SPEC = {"kind": "phase-transition", "n": 3, "k": 2, "alphas": [0.7],
+           "tf_list": [5.0], "dt": 0.25, "instances": 1}
+
+
+ZERO_COUNTS = [
+    ("instances", PT_SPEC, 0),
+    ("shots", PT_SPEC, 0),
+    ("n", PT_SPEC, 0),
+    ("k", PT_SPEC, 0),
+    ("trajectories", {"kind": "tts-vs-Tf", "cnf": "builtin:unique2", "tf_list": [5.0],
+                      "dt": 0.25, "mode": "heralded-restart", "trajectories": 1}, 0),
+    ("n_list", {"kind": "tts-scaling", "n_list": [3, 4], "alpha": 2.0, "k": 2,
+                "tf": 5.0, "dt": 0.25, "instances": 1}, [3, 0]),
+]
+
+
+@pytest.mark.parametrize("key, spec, zero", ZERO_COUNTS,
+                         ids=[case[0] for case in ZERO_COUNTS])
+def test_experiment_count_key_below_one_is_usage_error(key, spec, zero, tmp_path,
+                                                        capsys):
+    # a zero count passed the integer check: zero trajectories divided by zero,
+    # zero instances wrote p_succ nan, zero shots reported p_succ 0.0
+    spec = dict(spec, seed=1)
+    (tmp_path / "zero.json").write_text(json.dumps(dict(spec, **{key: zero})))
+    (tmp_path / "valid.json").write_text(json.dumps(spec))
+    for argv in (["zero.json"], ["valid.json", "--set", f"{key}={json.dumps(zero)}"]):
+        out = tmp_path / "out"
+        code = main(["experiment", str(tmp_path / argv[0]), *argv[1:], "--out", str(out)])
+        assert code == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert repr(key) in captured.err and ">= 1" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 def test_refused_spec_leaves_no_output_directory(tmp_path):
     outdir = tmp_path / "out" / "sweep"
     with pytest.raises(ValueError):
@@ -599,6 +633,13 @@ def test_replay_reproduces_outputs(kind, tmp_path, capsys):
                          ids=lambda path: path.stem)
 def test_committed_manifests_replay_identical(manifest, tmp_path, capsys):
     assert main(["replay", str(manifest), "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "identical"
+
+
+def test_committed_phase_transition_replays_identical_with_two_jobs(tmp_path, capsys):
+    # one process pool per curve decides the instances a serial run does
+    manifest = PINNED / "pt_manifest.json"
+    assert main(["replay", str(manifest), "--out", str(tmp_path), "--jobs", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "identical"
 
 

@@ -159,6 +159,51 @@ def test_monte_carlo_mean_matches_average_map():
     assert trace_distance(acc, expected) < 0.02
 
 
+class QuadratureDraws:
+    """A stand-in for kraus_measure's generator: random() returns the branch
+    (0 picks the + readout mean, 1 the - one) and normal(mean, sigma) returns
+    mean + sigma x at one Gauss-Hermite node x. This ties the test to the two
+    draws kraus_measure makes per clause, random() and then normal()."""
+
+    def __init__(self, branch, node):
+        self.branch, self.node = branch, node
+
+    def random(self):
+        return self.branch
+
+    def normal(self, mean, sigma):
+        return mean + sigma * self.node
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_kraus_step_averaged_over_its_readout_is_the_average_map(n):
+    # with no sampling: the readout of one clause step is the + branch with
+    # weight 1 - p or the - branch with weight p, p = |v^T psi|^2, then a
+    # Gaussian, integrated by the 80-node probabilists' Gauss-Hermite rule;
+    # the weighted psi' psi'^T is one average_map step of psi psi^T, for the
+    # first four clauses of a random 3-SAT instance
+    cs = ClauseSet(random_instance(n, 4.3, 3, np.random.default_rng(n)))
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    weights = weights / weights.sum()
+    psi = random_state(cs.dim, n)
+    for theta in (0.3, 1.2):
+        us, vs = cs.literal_states(theta), cs.violating_vectors(theta)
+        for i in range(4):
+            index = cs.index[i:i + 1]
+            frames = tuple(frame_permutations(index))
+            amp = vs[i] @ psi[index[0]]
+            p = float(amp @ amp)
+            for dt in (0.02, 0.25, 1.0):
+                mean = np.zeros((cs.dim, cs.dim))
+                for branch, weight in ((0.0, 1.0 - p), (1.0, p)):
+                    for x, w in zip(nodes, weights):
+                        out, _ = kraus_measure(psi.copy(), vs[i:i + 1], 1.0, dt,
+                                               QuadratureDraws(branch, x), frames)
+                        mean += (weight * w) * np.outer(out, out)
+                ref = average_map(np.outer(psi, psi), us[i:i + 1], 1.0, dt, index, frames)
+                assert np.max(np.abs(mean - ref)) < 1e-10, (theta, i, dt)
+
+
 def test_average_map_form_and_fixed_points():
     tau, dt = 2.0, 0.7
     x = X_OBS[2]

@@ -18,7 +18,6 @@ from zenosat.metrics import (
     fit_lambda,
     n_star,
     phase_transition_curve,
-    phase_transition_point,
     tts_99,
     tts_with_readout,
 )
@@ -70,32 +69,31 @@ def test_decide_instance_rules():
     assert _decide_instance((TWO_SAT_UNSAT, _quick_cfg(), 1, 0)) in (True, False)
 
 
-def test_phase_transition_point_is_deterministic():
+def test_one_alpha_curve_is_deterministic():
     cfg = _quick_cfg()
-    p1 = phase_transition_point(3, 0.8, 2, cfg, 10, np.random.default_rng(5))
-    p2 = phase_transition_point(3, 0.8, 2, cfg, 10, np.random.default_rng(5))
+    p1 = phase_transition_curve(3, 2, [0.8], cfg, 10, seed=5)
+    p2 = phase_transition_curve(3, 2, [0.8], cfg, 10, seed=5)
     assert p1 == p2
-    assert 0.0 <= p1 <= 1.0
+    assert len(p1) == 1 and 0.0 <= p1[0] <= 1.0
     # two worker processes decide the same instances with the same seeds
-    p3 = phase_transition_point(3, 0.8, 2, cfg, 10, np.random.default_rng(5), jobs=2)
-    assert p3 == p1
+    assert phase_transition_curve(3, 2, [0.8], cfg, 10, seed=5, jobs=2) == p1
 
 
-def test_phase_transition_curve_rows():
+def test_phase_transition_curve_returns_p_succ_per_alpha():
+    # each alpha draws from its own generator, so a curve is its one-alpha
+    # curves side by side, and one pool for both alphas changes no value
     cfg = _quick_cfg()
-    rows = phase_transition_curve(3, 2, [0.7, 1.4], cfg, 8, seed=2)
-    assert [r["alpha"] for r in rows] == [0.7, 1.4]
-    for r in rows:
-        assert r["n"] == 3 and r["k"] == 2 and r["mode"] == "average"
-        assert 0.0 <= r["p_succ"] <= 1.0
-    again = phase_transition_curve(3, 2, [0.7, 1.4], cfg, 8, seed=2)
-    assert rows == again
+    curve = phase_transition_curve(3, 2, [0.7, 1.4], cfg, 8, seed=2)
+    assert all(type(p) is float and 0.0 <= p <= 1.0 for p in curve)
+    assert curve == (phase_transition_curve(3, 2, [0.7], cfg, 8, seed=2)
+                     + phase_transition_curve(3, 2, [1.4], cfg, 8, seed=2))
+    assert phase_transition_curve(3, 2, [0.7, 1.4], cfg, 8, seed=2, jobs=2) == curve
 
 
 def test_easy_regime_classifies_well():
     # low density, long runs: most satisfiable instances should verify
     cfg = RunConfig(t_f=150.0, dt=0.25, dt_m=200.0, mode="average")
-    p = phase_transition_point(3, 0.7, 2, cfg, 15, np.random.default_rng(1), shots=3)
+    [p] = phase_transition_curve(3, 2, [0.7], cfg, 15, seed=1, shots=3)
     assert p >= 0.7
 
 
@@ -141,7 +139,7 @@ def test_polynomial_minimum_recovers_vertex():
 
 
 def test_import_does_not_load_multiprocessing():
-    # the process pool of phase_transition_point is imported when a run asks
+    # the process pool of phase_transition_curve is imported when a run asks
     # for jobs > 1, so `import zenosat` does not pay for multiprocessing
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

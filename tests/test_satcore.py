@@ -66,7 +66,6 @@ def test_formula_properties():
     f = TWO_SAT_UNIQUE
     assert f.k == 2
     assert f.num_clauses == 3
-    assert f.alpha == pytest.approx(1.5)
 
 
 def test_bitstring_roundtrip():
