@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .satcore import (  # noqa: F401
     Assignment,
     CnfFormula,
-    Literal,
     SatError,
     SolutionSet,
     enumerate_solutions,

@@ -236,10 +236,14 @@ def _tts(spec: dict, cfg: RunConfig, instances: Iterable[CnfFormula],
 
 
 def _exp_tts_scaling(spec: dict) -> tuple:
+    n_list = spec["n_list"]
+    if len(n_list) < 2 or len(set(n_list)) < len(n_list):
+        raise ValueError(f"tts-scaling fits lambda over n_list, which needs two or"
+                         f" more distinct n and no repeats, got {n_list}")
     mode = spec.get("mode", "average")
     cfg = _sweep_config(spec, spec["tf"], mode)
     rows = []
-    for n in spec["n_list"]:
+    for n in n_list:
         rng = np.random.default_rng([spec["seed"], n])
         # drawn lazily: each instance's draw precedes its trajectories' draws
         instances = (

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -247,8 +247,7 @@ def sme_step(
     observables: np.ndarray,
     tau: float,
     dt: float,
-    rng: Optional[np.random.Generator] = None,
-    dw: Optional[np.ndarray] = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kraus-form step of the readout-conditioned evolution of a pure state.
 
@@ -260,13 +259,10 @@ def sme_step(
     r_i r_j dt^2 restore the Lindblad drift, so the ensemble mean of psi psi^dag
     follows lindblad_step to first order, and the state stays a unit vector.
     observables has shape (m, d, d); psi may carry leading batch dims (..., d),
-    and dW is then (..., m). Passing dw explicitly overrides sampling.
+    and dW, drawn from rng, is then (..., m).
     """
     _check_times(tau, dt, first_order=True)
-    if dw is None:
-        if rng is None:
-            raise ValueError("sme_step needs an rng when dw is not given")
-        dw = rng.normal(0.0, math.sqrt(dt), size=psi.shape[:-1] + observables.shape[:1])
+    dw = rng.normal(0.0, math.sqrt(dt), size=psi.shape[:-1] + observables.shape[:1])
     sqrt_tau = math.sqrt(tau)
     xpsi = (observables @ psi[..., None, :, None])[..., 0]  # (..., m, d)
     expect = np.real(xpsi @ psi.conj()[..., :, None])[..., 0]

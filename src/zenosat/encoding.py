@@ -74,12 +74,10 @@ class Schedule:
         object.__setattr__(self, "_columns", np.array([us, ths], dtype=float))
 
     def theta(self, fraction):
-        """theta at the fraction clipped to [0, 1]: a float for a scalar
-        fraction, an array of the same shape for an array of fractions."""
+        """theta at the fraction clipped to [0, 1]: an np.float64 for a
+        scalar fraction, an array of the same shape for an array of fractions."""
         us, ths = self._columns
-        u = np.clip(fraction, 0.0, 1.0)
-        theta = np.clip(np.interp(u, us, ths), 0.0, math.pi / 2.0)
-        return float(theta) if np.ndim(theta) == 0 else theta
+        return np.clip(np.interp(np.clip(fraction, 0.0, 1.0), us, ths), 0.0, math.pi / 2.0)
 
 
 # Peak of the arrays one solver step allocates, its state included and its
@@ -133,8 +131,9 @@ class ClauseSet:
         self.k = f.k
         self.dim = 1 << self.n
         # (m, k) 0-based qubit and sign (0 positive, 1 negated) of each literal
-        self._qubits = np.array([[lit.variable - 1 for lit in cl] for cl in f.clauses])
-        self._signs = np.array([[int(lit.negated) for lit in cl] for cl in f.clauses])
+        lits = np.array(f.clauses)
+        self._qubits = abs(lits) - 1
+        self._signs = (lits < 0).astype(int)
 
     def require_memory(self, form: str = "dense") -> None:
         """Raise ValueError when a run's per-step arrays would not fit in

@@ -81,13 +81,17 @@ def phase_transition_curve(
     mode) configuration.
 
     Each alpha draws its instances, each followed by its run seed, from a
-    generator seeded with [seed, round(1000 alpha)]. With jobs > 1 one
-    process pool decides the instances of the whole curve, which changes no
-    value.
+    generator seeded with [seed, round(1000 alpha)], so alphas that share
+    that key are refused before any draw. With jobs > 1 one process pool
+    decides the instances of the whole curve, which changes no value.
     """
+    keys = [int(round(alpha * 1000)) for alpha in alphas]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"alphas {list(alphas)} would share instances: each alpha"
+                         " seeds with round(1000 alpha), which must differ")
     tasks = []
-    for alpha in alphas:
-        rng = np.random.default_rng([seed, int(round(alpha * 1000))])
+    for alpha, key in zip(alphas, keys):
+        rng = np.random.default_rng([seed, key])
         for _ in range(num_instances):
             f = random_instance(n, alpha, k, rng)
             tasks.append((f, cfg, shots, int(rng.integers(2**63))))
@@ -104,9 +108,9 @@ def phase_transition_curve(
 
 def fit_lambda(points: Sequence[tuple[int, float]]) -> ScalingFit:
     """Least squares of log TTS against n; lambda is e^slope."""
-    if len(points) < 2:
-        raise ValueError("need at least two (n, TTS) points")
     ns = np.array([p[0] for p in points], dtype=float)
+    if len(set(ns)) < 2:
+        raise ValueError("need (n, TTS) points at two or more distinct n")
     ts = np.array([p[1] for p in points], dtype=float)
     if np.any(ts <= 0) or np.any(~np.isfinite(ts)):
         raise ValueError("TTS values must be finite and positive")

@@ -23,29 +23,15 @@ class SatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Literal:
-    """A possibly-negated variable; variables are 1-based as in DIMACS."""
-
-    variable: int
-    negated: bool = False
-
-    def __post_init__(self) -> None:
-        if self.variable < 1:
-            raise SatError(f"variable index must be >= 1, got {self.variable}")
-
-    def to_dimacs(self) -> int:
-        return -self.variable if self.negated else self.variable
-
-
-Clause = tuple[Literal, ...]
-
-
-@dataclass(frozen=True)
 class CnfFormula:
-    """A CNF formula with uniform clause width k over ``num_vars`` variables."""
+    """A CNF formula with uniform clause width k over ``num_vars`` variables.
+
+    A clause is a tuple of signed DIMACS integers: ``v`` for x_v and ``-v``
+    for its negation, variables 1-based.
+    """
 
     num_vars: int
-    clauses: tuple[Clause, ...]
+    clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.num_vars < 1:
@@ -58,15 +44,14 @@ class CnfFormula:
                 raise SatError(f"clause {i + 1} has width {len(clause)}, expected {k}")
             if len(clause) == 0:
                 raise SatError(f"clause {i + 1} is empty")
-            seen = set()
             for lit in clause:
-                if lit.variable > self.num_vars:
+                if type(lit) is not int or not 1 <= abs(lit) <= self.num_vars:
                     raise SatError(
-                        f"clause {i + 1} references variable {lit.variable} > {self.num_vars}"
+                        f"clause {i + 1} has literal {lit!r}, not a nonzero int"
+                        f" within +-{self.num_vars}"
                     )
-                if lit.variable in seen:
-                    raise SatError(f"clause {i + 1} repeats variable {lit.variable}")
-                seen.add(lit.variable)
+            if len({abs(lit) for lit in clause}) < k:
+                raise SatError(f"clause {i + 1} repeats a variable: {clause}")
 
     @property
     def k(self) -> int:
@@ -88,13 +73,8 @@ class SolutionSet:
         return len(self.assignments)
 
 
-def clause(*lits: int) -> Clause:
-    """Build a clause from signed DIMACS-style integers, e.g. clause(1, -2)."""
-    return tuple(Literal(abs(v), v < 0) for v in lits)
-
-
 def formula(num_vars: int, *clauses_: Iterable[int]) -> CnfFormula:
-    return CnfFormula(num_vars, tuple(clause(*c) for c in clauses_))
+    return CnfFormula(num_vars, tuple(tuple(c) for c in clauses_))
 
 
 def to_bitstring(assignment: Sequence[bool]) -> str:
@@ -106,7 +86,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF. Clauses are terminated by 0 and may span lines."""
     num_vars = None
     num_clauses = None
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -128,11 +108,9 @@ def parse_dimacs(text: str) -> CnfFormula:
             if v == 0:
                 if not pending:
                     raise SatError("zero-width clause in DIMACS input")
-                clauses.append(clause(*pending))
+                clauses.append(tuple(pending))
                 pending.clear()
             else:
-                if abs(v) > num_vars:
-                    raise SatError(f"literal {v} out of range (n={num_vars})")
                 pending.append(v)
     if pending:
         raise SatError("unterminated clause at end of DIMACS input")
@@ -146,7 +124,7 @@ def parse_dimacs(text: str) -> CnfFormula:
 def write_dimacs(f: CnfFormula) -> str:
     lines = [f"p cnf {f.num_vars} {f.num_clauses}"]
     for cl in f.clauses:
-        lines.append(" ".join(str(lit.to_dimacs()) for lit in cl) + " 0")
+        lines.append(" ".join(map(str, cl)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -157,7 +135,7 @@ def evaluate(f: CnfFormula, assignment: Sequence[bool]) -> bool:
             f"assignment has {len(assignment)} bits, formula has {f.num_vars} variables"
         )
     for cl in f.clauses:
-        if not any(assignment[lit.variable - 1] != lit.negated for lit in cl):
+        if not any(assignment[abs(lit) - 1] == (lit > 0) for lit in cl):
             return False
     return True
 
@@ -180,9 +158,8 @@ def assignment_bits(index, n: int) -> np.ndarray:
 def _satisfied_mask(f: CnfFormula, table: np.ndarray) -> np.ndarray:
     ok = np.ones(table.shape[0], dtype=bool)
     for cl in f.clauses:
-        cols = np.array([lit.variable - 1 for lit in cl])
-        negs = np.array([lit.negated for lit in cl])
-        ok &= (table[:, cols] != negs[None, :]).any(axis=1)
+        lits = np.array(cl)
+        ok &= (table[:, abs(lits) - 1] == (lits > 0)).any(axis=1)
     return ok
 
 
@@ -232,8 +209,7 @@ def random_instance(
     clauses = []
     for _ in range(m):
         variables = rng.choice(n, size=k, replace=False) + 1
-        negs = rng.random(k) < 0.5
-        clauses.append(tuple(Literal(int(v), bool(neg)) for v, neg in zip(variables, negs)))
+        clauses.append(tuple(np.where(rng.random(k) < 0.5, -variables, variables).tolist()))
     return CnfFormula(n, tuple(clauses))
 
 

@@ -110,8 +110,8 @@ def clause_observable(f: CnfFormula, i: int) -> ClauseObservable:
     cl = f.clauses[i]
     return ClauseObservable(
         num_qubits=f.num_vars,
-        targets=tuple(lit.variable for lit in cl),
-        negations=tuple(lit.negated for lit in cl),
+        targets=tuple(abs(lit) for lit in cl),
+        negations=tuple(lit < 0 for lit in cl),
     )
 
 
@@ -374,10 +374,10 @@ def schoening_solve(
         bits = list(rng.random(n) < 0.5)
         for _ in range(flips + 1):
             unsat = [cl for cl in f.clauses
-                     if not any(bits[l.variable - 1] != l.negated for l in cl)]
+                     if not any(bits[abs(lit) - 1] == (lit > 0) for lit in cl)]
             if not unsat:
                 return tuple(bits)
             cl = unsat[rng.integers(len(unsat))]
-            lit = cl[rng.integers(len(cl))]
-            bits[lit.variable - 1] = not bits[lit.variable - 1]
+            v = abs(cl[rng.integers(len(cl))])
+            bits[v - 1] = not bits[v - 1]
     return None

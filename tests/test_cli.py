@@ -394,7 +394,7 @@ def test_impossible_unique_solution_request_is_refused_at_once(tmp_path, capsys)
     # n = 3, k = 3, alpha = 2: six clauses each exclude one of the eight
     # assignments, so at least two always survive; rejection sampling would
     # make its 10^6 attempts (minutes) before giving up
-    spec = {"kind": "tts-scaling", "n_list": [3], "alpha": 2.0, "k": 3, "tf": 1.0,
+    spec = {"kind": "tts-scaling", "n_list": [3, 4], "alpha": 2.0, "k": 3, "tf": 1.0,
             "seed": 1}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -405,6 +405,28 @@ def test_impossible_unique_solution_request_is_refused_at_once(tmp_path, capsys)
     assert code == EXIT_USAGE
     assert "no unique-solution instance" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+SCALING_SPEC = {"kind": "tts-scaling", "n_list": [3, 4], "alpha": 2.0, "k": 2,
+                "tf": 30.0, "dt": 0.25, "instances": 200, "seed": 7}
+
+
+@pytest.mark.parametrize("n_list", [[3, 3], [3], [3, 4, 3]],
+                         ids=["repeat", "single", "repeat-of-three"])
+def test_tts_scaling_refuses_n_list_it_cannot_fit(n_list, tmp_path, capsys):
+    # a repeated n seeds the same generator, so its row is counted twice; one
+    # n has no slope. Both are refused before any instance is drawn
+    (tmp_path / "bad.json").write_text(json.dumps(dict(SCALING_SPEC, n_list=n_list)))
+    (tmp_path / "valid.json").write_text(json.dumps(SCALING_SPEC))
+    for argv in (["bad.json"], ["valid.json", "--set", f"n_list={json.dumps(n_list)}"]):
+        out = tmp_path / "out"
+        with deadline(10):
+            code = main(["experiment", str(tmp_path / argv[0]), *argv[1:],
+                         "--out", str(out)])
+        assert code == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert "n_list" in captured.err and "distinct n" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 def test_experiment_tts_vs_tf(tmp_path):
@@ -579,6 +601,18 @@ def test_experiment_count_key_below_one_is_usage_error(key, spec, zero, tmp_path
         captured = capsys.readouterr()
         assert repr(key) in captured.err and ">= 1" in captured.err
         assert captured.out == "" and not out.exists()
+
+
+def test_phase_transition_refuses_alphas_sharing_a_seed(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(PT_SPEC, alphas=[0.7, 1.4], seed=1)))
+    out = tmp_path / "out"
+    code = main(["experiment", str(spec_path), "--set", "alphas=[0.7,0.7004]",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "share instances" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_refused_spec_leaves_no_output_directory(tmp_path):

@@ -359,6 +359,18 @@ def gauss_hermite_noise(dt, m, nodes=24):
     return math.sqrt(dt) * x[idx], np.prod(w[idx] / w.sum(), axis=1)
 
 
+class GivenIncrements:
+    """A stand-in for sme_step's generator: normal(0, sqrt(dt), size) returns
+    the given dW increments, which must have the requested size."""
+
+    def __init__(self, dw):
+        self.dw = np.asarray(dw)
+
+    def normal(self, mean, sigma, size):
+        assert mean == 0.0 and self.dw.shape == size
+        return self.dw
+
+
 def test_sme_mean_step_is_lindblad_step_to_first_order():
     # the mean of psi' psi'^T over dW, exact by quadrature, differs from the
     # Lindblad step by O(dt^2): 4x less per halving of dt
@@ -366,7 +378,8 @@ def test_sme_mean_step_is_lindblad_step_to_first_order():
     errs = []
     for dt in (0.02, 0.01, 0.005, 0.0025):
         dw, weights = gauss_hermite_noise(dt, len(X_OBS))
-        out, _ = sme_step(np.broadcast_to(psi, (len(dw), 4)), X_OBS, 1.0, dt, dw=dw)
+        out, _ = sme_step(np.broadcast_to(psi, (len(dw), 4)), X_OBS, 1.0, dt,
+                          GivenIncrements(dw))
         mean = np.einsum("b,bi,bj->ij", weights, out, out)
         det = lindblad_step(np.outer(psi, psi), X_OBS, 1.0, dt)
         errs.append(np.max(np.abs(mean - det)))
@@ -378,17 +391,12 @@ def test_sme_readout_uses_same_noise_as_update():
     psi = random_state(4, 5)
     dw = np.array([0.03, -0.02, 0.05])
     dt = 0.01
-    _, readouts = sme_step(psi, X_OBS, tau=4.0, dt=dt, dw=dw)
+    _, readouts = sme_step(psi, X_OBS, 4.0, dt, GivenIncrements(dw))
     expect = np.array([psi @ x @ psi for x in X_OBS])
     assert np.allclose(readouts, expect / 2.0 + dw / dt)
     # with dw = 0 the emitted readout is the expectation over sqrt(tau)
-    _, readouts = sme_step(psi, X_OBS, tau=4.0, dt=dt, dw=np.zeros(3))
+    _, readouts = sme_step(psi, X_OBS, 4.0, dt, GivenIncrements(np.zeros(3)))
     assert np.allclose(readouts, expect / 2.0)
-
-
-def test_sme_requires_noise_source():
-    with pytest.raises(ValueError):
-        sme_step(plus_state(2), X_OBS, tau=1.0, dt=0.01)
 
 
 def test_sme_preserves_invariants_along_trajectory():
@@ -405,9 +413,9 @@ def test_sme_batched_matches_single_given_same_noise():
     rng = np.random.default_rng(2)
     dw = rng.normal(0.0, 0.1, size=(4, 3))
     tau, dt = 2.0, 0.01
-    out, readouts = sme_step(psis, X_OBS, tau=tau, dt=dt, dw=dw)
+    out, readouts = sme_step(psis, X_OBS, tau, dt, GivenIncrements(dw))
     for i in range(4):
-        single, r_single = sme_step(psis[i], X_OBS, tau=tau, dt=dt, dw=dw[i])
+        single, r_single = sme_step(psis[i], X_OBS, tau, dt, GivenIncrements(dw[i]))
         assert np.allclose(out[i], single)
         assert np.allclose(readouts[i], r_single)
         # the Kraus expression: M = 1 + (dt/2sqrt(tau)) sum_i r_i X_i with

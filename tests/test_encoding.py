@@ -139,7 +139,7 @@ def test_schedule_theta_of_an_array_is_the_stacked_scalar_thetas(table):
     s = Schedule(table=table)
     us = np.linspace(-0.3, 1.3, 801)
     scalars = [s.theta(u) for u in us.tolist()]
-    assert all(type(th) is float for th in scalars)
+    assert all(np.ndim(th) == 0 and isinstance(th, float) for th in scalars)
     assert np.array_equal(s.theta(us), scalars)
     assert s.theta(us.reshape(-1, 3)).shape == (267, 3)
 

@@ -90,6 +90,19 @@ def test_phase_transition_curve_returns_p_succ_per_alpha():
     assert phase_transition_curve(3, 2, [0.7, 1.4], cfg, 8, seed=2, jobs=2) == curve
 
 
+@pytest.mark.parametrize("alphas", [[0.7, 0.7004], [1.4, 0.7, 1.4]],
+                         ids=["same-seed", "repeat"])
+def test_phase_transition_curve_refuses_alphas_sharing_a_seed(alphas, monkeypatch):
+    # round(1000 alpha) seeds each alpha: alphas sharing it would draw the
+    # same instances, so they are refused before any instance is drawn
+    def no_draw(*args):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr("zenosat.metrics.random_instance", no_draw)
+    with pytest.raises(ValueError, match="share instances"):
+        phase_transition_curve(3, 2, alphas, _quick_cfg(), 2, seed=2)
+
+
 def test_easy_regime_classifies_well():
     # low density, long runs: most satisfiable instances should verify
     cfg = RunConfig(t_f=150.0, dt=0.25, dt_m=200.0, mode="average")
@@ -122,8 +135,11 @@ def test_fit_lambda_two_points_and_noise():
 
 
 def test_fit_lambda_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct n"):
         fit_lambda([(4, 10.0)])
+    # the same n twice is one point counted twice, not a fit
+    with pytest.raises(ValueError, match="distinct n"):
+        fit_lambda([(3, 10.0), (3, 10.0)])
     with pytest.raises(ValueError):
         fit_lambda([(4, 10.0), (5, -1.0)])
     with pytest.raises(ValueError):

@@ -42,13 +42,16 @@ def _public_definitions(tree: ast.Module) -> list[str]:
 
 def _read_names(tree: ast.Module) -> set[str]:
     """Names loaded, attributes accessed, and identifier strings (the
-    benchmark patches callables by name)."""
+    benchmark patches callables by name). An attribute of ``args``, the
+    argparse namespace by convention, reads a command-line option, not a
+    member of the package, so it does not count."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id == "args"):
+                out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 out.add(node.value)

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from oracles import from_bitstring, schoening_solve
 from zenosat.satcore import (
     CnfFormula,
-    Literal,
     SatError,
     TWO_SAT_TWO_SOLUTIONS,
     TWO_SAT_UNIQUE,
     TWO_SAT_UNSAT,
     _ENUM_CAP,
     assignment_bits,
-    clause,
     enumerate_solutions,
     evaluate,
     formula,
@@ -36,19 +34,6 @@ from zenosat.satcore import (
 # ---------------------------------------------------------------- structures
 
 
-def test_literal_dimacs():
-    assert Literal(3).to_dimacs() == 3
-    assert Literal(3, negated=True).to_dimacs() == -3
-    with pytest.raises(SatError):
-        Literal(0)
-
-
-def test_clause_builder_signs():
-    cl = clause(1, -2)
-    assert cl[0] == Literal(1, False)
-    assert cl[1] == Literal(2, True)
-
-
 def test_formula_validation():
     with pytest.raises(SatError):
         formula(2, (1, 2), (1,))  # mixed clause widths
@@ -59,7 +44,14 @@ def test_formula_validation():
     with pytest.raises(SatError):
         CnfFormula(2, ())  # no clauses
     with pytest.raises(SatError):
-        CnfFormula(0, (clause(1, 2),))  # no variables
+        CnfFormula(0, ((1, 2),))  # no variables
+
+
+@pytest.mark.parametrize("lit", [0, True, 1.0, -3], ids=["zero", "bool", "float", "-3"])
+def test_formula_refuses_literal(lit):
+    # literals are signed DIMACS ints: nonzero, a plain int, |lit| <= num_vars
+    with pytest.raises(SatError, match="literal"):
+        CnfFormula(2, ((lit, 2),))
 
 
 def test_formula_properties():
@@ -81,7 +73,7 @@ def test_bitstring_roundtrip():
 def test_dimacs_roundtrip():
     f = TWO_SAT_UNIQUE
     text = write_dimacs(f)
-    assert text.splitlines()[0] == "p cnf 2 3"
+    assert text.splitlines() == ["p cnf 2 3", "1 2 0", "1 -2 0", "-1 -2 0"]
     assert parse_dimacs(text) == f
 
 
@@ -89,8 +81,7 @@ def test_dimacs_parses_comments_and_multiline_clauses():
     text = "c a comment\np cnf 3 2\n1 2\n3 0\n-1 -2 -3 0\n"
     f = parse_dimacs(text)
     assert f.num_vars == 3
-    assert f.clauses[0] == clause(1, 2, 3)
-    assert f.clauses[1] == clause(-1, -2, -3)
+    assert f.clauses == ((1, 2, 3), (-1, -2, -3))
 
 
 @pytest.mark.parametrize(
@@ -168,18 +159,15 @@ def random_formulas(draw):
                 unique=True,
             )
         )
-        signs = draw(st.lists(st.booleans(), min_size=k, max_size=k))
-        clauses.append(
-            tuple(Literal(v, neg) for v, neg in zip(variables, signs))
-        )
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+        clauses.append(tuple(s * v for v, s in zip(variables, signs)))
     return CnfFormula(n, tuple(clauses))
 
 
 def _evaluate_naive(f, assignment):
     return all(
         any(
-            (not assignment[lit.variable - 1]) if lit.negated
-            else assignment[lit.variable - 1]
+            (not assignment[-lit - 1]) if lit < 0 else assignment[lit - 1]
             for lit in cl
         )
         for cl in f.clauses
@@ -224,9 +212,15 @@ def test_random_instance_shape_and_determinism():
     assert f1 == f2
     assert f1.num_clauses == 12
     for cl in f1.clauses:
-        variables = [lit.variable for lit in cl]
+        variables = [abs(lit) for lit in cl]
         assert len(set(variables)) == 3
         assert all(1 <= v <= 6 for v in variables)
+    # rng.choice(n, k) then rng.random(k) per clause, a draw below 0.5 negating
+    assert f1.clauses == (
+        (-4, -5, 6), (4, -1, -5), (6, 5, 2), (2, -5, -6), (5, -1, 4), (-1, -4, -5),
+        (-1, -5, 6), (6, 1, 4), (4, 3, 1), (-1, -3, -4), (5, 1, 3), (-2, -4, -3),
+    )
+    assert all(type(lit) is int for cl in f1.clauses for lit in cl)
 
 
 def test_random_instance_rejects_wide_clauses():
@@ -245,7 +239,7 @@ def test_random_unique_solution_instance():
 def test_sign_balance_is_fair():
     rng = np.random.default_rng(3)
     f = random_instance(10, 40.0, 3, rng)
-    negs = [lit.negated for cl in f.clauses for lit in cl]
+    negs = [lit < 0 for cl in f.clauses for lit in cl]
     frac = np.mean(negs)
     assert 0.45 < frac < 0.55  # 1200 fair coins
 
