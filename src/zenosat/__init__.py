@@ -14,13 +14,7 @@ from .satcore import (  # noqa: F401
     random_unique_solution_instance,
     write_dimacs,
 )
-from .encoding import (  # noqa: F401
-    ClauseSet,
-    Schedule,
-    encoded_state,
-    ry,
-    solution_state,
-)
+from .encoding import ClauseSet, Schedule  # noqa: F401
 from .dynamics import average_map, kraus_measure, lindblad_step, sme_step  # noqa: F401
 from .herald import FilterConfig, FilterState, detect_failure  # noqa: F401
 from .solver import (  # noqa: F401

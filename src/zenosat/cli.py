@@ -22,12 +22,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import __version__
-from .encoding import Schedule, solution_state
+from .encoding import Schedule
 from .metrics import fit_lambda, phase_transition_curve, tts_99, tts_with_readout
-from .qlinalg import concurrence_2q, fidelity_pure, local_z, purity
+from .qlinalg import basis_probabilities, concurrence_2q, local_z, purity
 from .satcore import (
     CnfFormula,
     SatError,
+    SolutionSet,
     TWO_SAT_TWO_SOLUTIONS,
     TWO_SAT_UNIQUE,
     TWO_SAT_UNSAT,
@@ -150,13 +151,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- experiments
 
 
-def _best_solution_fidelity(rho: np.ndarray, f: CnfFormula) -> float:
-    """Largest fidelity of rho to a satisfying product state at theta = pi/2."""
-    sols = enumerate_solutions(f)
+def _best_solution_fidelity(rho: np.ndarray, sols: SolutionSet) -> float:
+    """Largest fidelity of rho to a satisfying product state at theta = pi/2,
+    which is a basis state: the largest basis probability at the solutions'
+    basis indices (nan without solutions)."""
     if sols.count == 0:
         return math.nan
-    return max(fidelity_pure(rho, solution_state(f, s, math.pi / 2.0))
-               for s in sols.assignments)
+    bits = np.array(sols.assignments, dtype=np.intp)  # (count, n)
+    probs = basis_probabilities(rho).reshape((2,) * bits.shape[1])
+    return float(probs[tuple(bits.T)].max())
 
 
 def _config(spec: dict, t_f: float, dt: float, dt_m: float = 0.0,
@@ -173,24 +176,25 @@ def _sweep_config(spec: dict, t_f: float, mode: str) -> RunConfig:
 
 def _exp_fidelity_contour(spec: dict) -> tuple:
     f = _load_formula(spec.get("cnf", "builtin:unique2"))
+    sols = enumerate_solutions(f)
     rows = []
     for tf_over_tau in spec["tf_over_tau"]:
         for dt_over_tau in spec["dt_over_tau"]:
             rho = run_average(f, _config(spec, tf_over_tau, dt_over_tau)).final_rho
-            rows.append([dt_over_tau, tf_over_tau, _best_solution_fidelity(rho, f)])
+            rows.append([dt_over_tau, tf_over_tau, _best_solution_fidelity(rho, sols)])
     return ["dt_over_tau", "tf_over_tau", "fidelity"], rows
 
 
 def _exp_gamma_scan(spec: dict) -> tuple:
     f = _load_formula(spec.get("cnf", "builtin:unique2"))
-    n = f.num_vars
+    n, sols = f.num_vars, enumerate_solutions(f)
     rows = []
     for gamma_tf in spec["gamma_tf"]:
         cfg = _config(spec, 4.0 * gamma_tf, spec.get("dt", 0.01))  # Gamma = 1/(4 tau)
         rho = run_average(f, cfg).final_rho
         conc = concurrence_2q(rho) if n == 2 else math.nan
-        zs = [local_z(rho, j) for j in range(1, n + 1)]
-        rows.append([gamma_tf, purity(rho), conc, _best_solution_fidelity(rho, f)] + zs)
+        rows.append([gamma_tf, purity(rho), conc, _best_solution_fidelity(rho, sols),
+                     *local_z(rho)])
     header = ["gamma_tf", "purity", "concurrence", "fidelity"] + [
         f"z{j}" for j in range(1, n + 1)
     ]
@@ -344,6 +348,8 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
                              f" got {value!r}")
         if key in _NUMBER_KEYS and any(type(v) not in (int, float) for v in values):
             raise ValueError(f"{kind} spec key {key!r} must hold numbers, got {value!r}")
+        if key == "p_star" and not 0.0 < value < 1.0:
+            raise ValueError(f"{kind} spec key 'p_star' must lie in (0, 1), got {value!r}")
     name = spec.get("name", kind.replace("-", "_").lower())
     parallel = {"jobs": jobs} if kind == "phase-transition" else {}
     header, rows, *fit = EXPERIMENTS[kind](_Spec(spec), **parallel)

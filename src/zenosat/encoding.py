@@ -1,10 +1,10 @@
-"""Theta-dependent objects of the measurement-driven encoding: encoded qubit
-states, clause operators, schedules and solution states.
+"""Theta-dependent objects of the measurement-driven encoding: clause
+operators and schedules.
 
 Encoding map: a true variable is dragged along ry(+theta)|+>, a false one
 along ry(-theta)|+>. At theta = pi/2 true sits at |1> and false at |0>,
 consistent with the bitstring convention true -> '1' and the readout axis
-|1><1| - |0><0|.
+|1><1| - |0><0|, so the final state is read off its basis probabilities.
 
 Every clause operator comes from one source: the literal states of the
 clause, the violating single-qubit state of each literal (their Kronecker
@@ -23,21 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .qlinalg import kron_all, kron_vectors
-from .satcore import Assignment, CnfFormula, SatError, evaluate
-
-PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
-
-
-def ry(theta: float) -> np.ndarray:
-    """Real y-rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]])
-
-
-def encoded_state(theta: float, truth: bool) -> np.ndarray:
-    """Single-qubit encoded state: ry(+theta)|+> if true, ry(-theta)|+>."""
-    return ry(theta if truth else -theta) @ PLUS
+from .qlinalg import kron_vectors
+from .satcore import CnfFormula
 
 
 @dataclass(frozen=True)
@@ -232,12 +219,3 @@ def frame_permutations(index: np.ndarray) -> Iterator[np.ndarray]:
         yield idx if inverse is None else inverse[idx]
         inverse = np.argsort(idx, axis=None)
     yield inverse.reshape(idx.shape)
-
-
-def solution_state(f: CnfFormula, s: Assignment, theta: float) -> np.ndarray:
-    """Product state encoding a verified solution; +1 eigenstate of every
-    clause observable at any theta.
-    """
-    if not evaluate(f, s):
-        raise SatError(f"assignment {s} does not satisfy the formula")
-    return kron_all([encoded_state(theta, bool(b)) for b in s])

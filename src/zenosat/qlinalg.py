@@ -12,9 +12,9 @@ Conventions fixed here and used by every other module:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
+
+from .satcore import assignment_bits
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -24,13 +24,6 @@ def num_qubits(dim: int) -> int:
     if 1 << n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n
-
-
-def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
 
 
 def kron_vectors(factors: np.ndarray) -> np.ndarray:
@@ -60,11 +53,6 @@ def purity(rho: np.ndarray) -> float:
     return float(np.vdot(rho, rho).real)
 
 
-def fidelity_pure(rho: np.ndarray, phi: np.ndarray) -> float:
-    """<phi| rho |phi> for a pure target state."""
-    return float(np.real(np.conj(phi) @ rho @ phi))
-
-
 def concurrence_2q(rho: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit state: max(0, l1 - l2 - l3 - l4)
     for the descending singular values l of sqrt(rho) (Y x Y) sqrt(rho)*.
@@ -87,19 +75,13 @@ def basis_probabilities(state: np.ndarray) -> np.ndarray:
     return np.clip(np.real(np.diag(state)), 0.0, None)
 
 
-def local_z(state: np.ndarray, j: int) -> float:
-    """Expectation of the readout axis |1><1| - |0><0| on qubit j of psi or
-    rho, from the basis probabilities; the other qubits are summed out last
-    one first."""
+def local_z(state: np.ndarray) -> np.ndarray:
+    """Expectations of the readout axis |1><1| - |0><0| on qubits 1..n of psi
+    or rho: the basis probabilities weighted by 2 b - 1 for each basis
+    state's bits b."""
     probs = basis_probabilities(state)
-    n = num_qubits(probs.size)
-    if j < 1 or j > n:
-        raise ValueError(f"qubit {j} out of range [1, {n}]")
-    marginal = probs.reshape((2,) * n)
-    for q in reversed(range(n)):
-        if q != j - 1:
-            marginal = marginal.sum(axis=q)
-    return float(marginal[1] - marginal[0])
+    bits = assignment_bits(np.arange(probs.size), num_qubits(probs.size))
+    return probs @ (2.0 * bits - 1.0)
 
 
 def validate_density(rho: np.ndarray) -> None:

@@ -203,8 +203,7 @@ def _evolve(
             state = kernel(state, ops, cfg.tau, cfg.dt)
         del ops  # so the next block is built in the cache-warm memory this one frees
         if every and step % every == 0:
-            row = (t, theta, 1.0 if sampled else purity(state),
-                   [local_z(state, j) for j in range(1, cs.n + 1)])
+            row = (t, theta, 1.0 if sampled else purity(state), local_z(state))
             if sampled:
                 row += (readouts.copy(), fs.rbar.copy())
             for values, value in zip(record.values(), row):

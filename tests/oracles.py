@@ -1,12 +1,14 @@
 """Reference implementations the tests check zenosat against: direct, slow
-forms of what the package computes another way (dense clause operators
-embedded one clause at a time, the partial trace, the Kraus step gathered
-and scattered per clause, the dense-rho Kraus step and averaged map, the
-integral form of the readout filter, the Lindblad step as per-clause stacks
-renormalized every step, a Heun Lindblad step), plus closed forms, Pauli
-matrices, the co-rotating frame, the Zeno diagnostic, the trace distance and
-a classical baseline solver that only tests use, and the success
-probability summed solution by solution over Hamming distances.
+forms of what the package computes another way (the encoded theta-states as
+rotated |+> vectors and their Kronecker products, the solution states and
+the fidelity to them, dense clause operators embedded one clause at a time,
+the partial trace, the Kraus step gathered and scattered per clause, the
+dense-rho Kraus step and averaged map, the integral form of the readout
+filter, the Lindblad step as per-clause stacks renormalized every step, a
+Heun Lindblad step), plus closed forms, Pauli matrices, the co-rotating
+frame, the Zeno diagnostic, the trace distance and a classical baseline
+solver that only tests use, and the success probability summed solution by
+solution over Hamming distances.
 """
 
 import math
@@ -15,10 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from zenosat.encoding import PLUS, ClauseSet, ry
-from zenosat.qlinalg import (SIGMA_Y, basis_probabilities, kron_all, num_qubits,
-                              plus_density)
-from zenosat.satcore import Assignment, CnfFormula, SolutionSet, assignment_bits, formula
+from zenosat.encoding import ClauseSet
+from zenosat.qlinalg import SIGMA_Y, basis_probabilities, num_qubits, plus_density
+from zenosat.satcore import (Assignment, CnfFormula, SatError, SolutionSet, assignment_bits,
+                             evaluate, formula)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -36,6 +38,43 @@ CLAUSE_LAYOUTS = {
     "n7": formula(7, [1, -4, 7], [-2, 3, -6], [5, 6, -1]),
     "out-of-order": formula(4, [3, -1, 2], [-4, 2, -3]),
 }
+
+
+# ---------------------------------------------------------------- states
+
+PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
+
+
+def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
+    out = np.asarray(factors[0])
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def ry(theta: float) -> np.ndarray:
+    """Real y-rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]])
+
+
+def encoded_state(theta: float, truth: bool) -> np.ndarray:
+    """Single-qubit encoded state: ry(+theta)|+> if true, ry(-theta)|+>."""
+    return ry(theta if truth else -theta) @ PLUS
+
+
+def solution_state(f: CnfFormula, s: Assignment, theta: float) -> np.ndarray:
+    """Product state encoding a verified solution; +1 eigenstate of every
+    clause observable at any theta.
+    """
+    if not evaluate(f, s):
+        raise SatError(f"assignment {s} does not satisfy the formula")
+    return kron_all([encoded_state(theta, bool(b)) for b in s])
+
+
+def fidelity_pure(rho: np.ndarray, phi: np.ndarray) -> float:
+    """<phi| rho |phi> for a pure target state."""
+    return float(np.real(np.conj(phi) @ rho @ phi))
 
 
 # ---------------------------------------------------------------- operators

@@ -9,9 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import FILTER_VARIANCE_COEFF, trace_distance, unique_bias_success
+from oracles import (
+    FILTER_VARIANCE_COEFF,
+    fidelity_pure,
+    kron_all,
+    solution_state,
+    trace_distance,
+    unique_bias_success,
+)
 from zenosat.dynamics import lindblad_step, sme_step
-from zenosat.encoding import ClauseSet, solution_state
+from zenosat.encoding import ClauseSet
 from zenosat.herald import FilterConfig, FilterState
 from zenosat.metrics import (
     fit_lambda,
@@ -21,8 +28,6 @@ from zenosat.metrics import (
 )
 from zenosat.qlinalg import (
     concurrence_2q,
-    fidelity_pure,
-    kron_all,
     local_z,
     plus_density,
     plus_state,
@@ -106,7 +111,7 @@ def test_acceptance_03_two_solution_entangled_limit_and_unsat_limit():
     rho = final_state(TWO_SAT_TWO_SOLUTIONS, t_f=4.0e4)
     conc = concurrence_2q(rho)
     pur = purity(rho)
-    z1, z2 = local_z(rho, 1), local_z(rho, 2)
+    z1, z2 = local_z(rho)
     ok_pair = conc >= 0.95 and pur >= 0.95 and abs(z1) <= 0.05 and abs(z2) <= 0.05
 
     rho_u = final_state(TWO_SAT_UNSAT, t_f=4.0e4)

@@ -14,18 +14,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import fidelity_pure, solution_state
+from zenosat import cli
 from zenosat.cli import (
     EXIT_SOLVED,
     EXIT_UNDECIDED,
     EXIT_UNSAT,
     EXIT_USAGE,
     EXPERIMENTS,
+    _best_solution_fidelity,
     main,
     run_experiment_spec,
 )
 from zenosat.satcore import (
     SatError,
     enumerate_solutions,
+    formula,
     parse_dimacs,
     random_unique_solution_instance,
 )
@@ -347,6 +351,36 @@ def test_experiment_fidelity_contour(tmp_path):
     assert fid[("0.25", "20.0")] > fid[("1.0", "20.0")]
 
 
+def test_best_solution_fidelity_matches_solution_state_fidelity():
+    # the basis-probability read against <phi|rho|phi> over the satisfying
+    # product states at theta = pi/2, on complex psi and rho at n = 1..6; a
+    # single variable has no formula with two solutions
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        d = 1 << n
+        signs = [v if b else -v for v, b in enumerate(rng.random(n) < 0.5, 1)]
+        free = int(rng.integers(n))  # the one variable the two-solution formula leaves free
+        formulas = {1: formula(n, *([lit] for lit in signs)),
+                    0: formula(n, [1], [-1])}
+        if n > 1:
+            formulas[2] = formula(n, *([lit] for lit in signs[:free] + signs[free + 1:]))
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        for count, f in formulas.items():
+            sols = enumerate_solutions(f)
+            assert sols.count == count
+            for state, form in ((rho, rho), (psi, np.outer(psi, psi.conj()))):
+                fid = _best_solution_fidelity(state, sols)
+                if count == 0:
+                    assert np.isnan(fid)
+                    continue
+                expected = max(fidelity_pure(form, solution_state(f, s, np.pi / 2))
+                               for s in sols.assignments)
+                assert abs(fid - expected) <= 1e-15
+
+
 def test_experiment_phase_transition(tmp_path):
     spec = {
         "kind": "phase-transition",
@@ -601,6 +635,25 @@ def test_experiment_count_key_below_one_is_usage_error(key, spec, zero, tmp_path
         captured = capsys.readouterr()
         assert repr(key) in captured.err and ">= 1" in captured.err
         assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("p_star", [0.0, 1.0, 1.5])
+def test_p_star_outside_unit_interval_is_refused_before_any_run(p_star, tmp_path,
+                                                                 monkeypatch, capsys):
+    # n_star refused it only after the first row's runs
+    runs = []
+    run_average = cli.run_average
+    monkeypatch.setattr(cli, "run_average", lambda *a: runs.append(a) or run_average(*a))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "tts-vs-Tf", "cnf": "builtin:unique2",
+                                     "tf_list": [5.0], "dt": 0.25, "seed": 1,
+                                     "p_star": p_star}))
+    out = tmp_path / "out"
+    code = main(["experiment", str(spec_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert len(runs) == 0
+    assert code == EXIT_USAGE and "'p_star'" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_phase_transition_refuses_alphas_sharing_a_seed(tmp_path, capsys):

@@ -14,19 +14,17 @@ from oracles import (
     CLAUSE_LAYOUTS,
     clause_observable,
     diabatic_hamiltonian,
+    encoded_state,
+    kron_all,
     q_frame,
+    ry,
+    solution_state,
     violating_state,
     zeno_g,
 )
 from zenosat import encoding, solver
-from zenosat.encoding import (
-    ClauseSet,
-    Schedule,
-    encoded_state,
-    ry,
-    solution_state,
-)
-from zenosat.qlinalg import kron_all, plus_density, plus_state
+from zenosat.encoding import ClauseSet, Schedule
+from zenosat.qlinalg import plus_density, plus_state
 from zenosat.satcore import (
     SatError,
     TWO_SAT_TWO_SOLUTIONS,

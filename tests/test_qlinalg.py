@@ -1,5 +1,6 @@
-"""Dense qubit linear algebra: tensor embedding, partial trace, and the
-state metrics (purity, fidelity, concurrence, trace distance).
+"""Dense qubit linear algebra: tensor embedding, partial trace, the state
+metrics (purity, concurrence, per-qubit readout-axis expectations) and the
+oracles' fidelity and trace distance.
 """
 
 import numpy as np
@@ -12,14 +13,14 @@ from oracles import (
     SIGMA_Z,
     ZHAT,
     embed_on_qubits,
+    fidelity_pure,
+    kron_all,
     reduced_density,
     trace_distance,
 )
 from zenosat.qlinalg import (
     SIGMA_Y,
     concurrence_2q,
-    fidelity_pure,
-    kron_all,
     local_z,
     num_qubits,
     plus_density,
@@ -193,24 +194,28 @@ def test_reduced_density_of_bell_state_is_maximally_mixed():
 
 def test_local_z_values():
     rho = density(kron_all([KET1, KET0, plus_state(1)]))
-    assert local_z(rho, 1) == pytest.approx(1.0)
-    assert local_z(rho, 2) == pytest.approx(-1.0)
-    assert local_z(rho, 3) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        local_z(rho, 4)
+    assert local_z(rho).shape == (3,)
+    assert local_z(rho) == pytest.approx([1.0, -1.0, 0.0], abs=1e-12)
 
 
 def test_local_z_matches_reduced_density_for_psi_and_rho():
+    # all n expectations at once against the embedded readout axis and the
+    # single-qubit reduced state, on complex psi and rho at n = 1..6
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(8, 8))
-    rho = a @ a.T / np.trace(a @ a.T)
-    psi = rng.normal(size=8)
-    psi /= np.linalg.norm(psi)
-    for j in (1, 2, 3):
-        r1 = reduced_density(rho, j)
-        assert local_z(rho, j) == pytest.approx(r1[1, 1] - r1[0, 0], abs=1e-15)
-        r1 = reduced_density(density(psi), j)
-        assert local_z(psi, j) == pytest.approx(r1[1, 1] - r1[0, 0], abs=1e-15)
+    for n in range(1, 7):
+        d = 1 << n
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        for state, form in ((rho, rho), (psi, density(psi))):
+            z = local_z(state)
+            assert z.shape == (n,)
+            for j in range(1, n + 1):
+                expected = np.trace(form @ embed_on_qubits(ZHAT, [j], n)).real
+                assert abs(z[j - 1] - expected) <= 1e-15
+                r1 = reduced_density(form, j)
+                assert abs(z[j - 1] - (r1[1, 1] - r1[0, 0]).real) <= 1e-15
 
 
 def test_trace_distance():

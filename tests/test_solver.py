@@ -16,19 +16,16 @@ from oracles import (
     CLAUSE_LAYOUTS,
     dense_average_run,
     dense_heralded_run,
+    fidelity_pure,
+    kron_all,
+    solution_state,
     success_probability_by_solution,
     trace_distance,
     unique_bias_success,
 )
 from zenosat import dynamics, encoding, solver
-from zenosat.encoding import ClauseSet, Schedule, solution_state
-from zenosat.qlinalg import (
-    fidelity_pure,
-    kron_all,
-    plus_density,
-    purity,
-    validate_density,
-)
+from zenosat.encoding import ClauseSet, Schedule
+from zenosat.qlinalg import plus_density, purity, validate_density
 from zenosat.satcore import (
     CnfFormula,
     SolutionSet,
