@@ -22,7 +22,11 @@ clause's frame in turn, so no transpose runs inside the clause loop (about
 half the time per step at n = 9 and 0.4 of it at n = 10). The two sampled
 kernels act on state vectors and also return the m readouts, the two
 averaged ones on density matrices. Readout samples carry units of
-tau^(-1/2).
+tau^(-1/2). The stochastic step has a second body for the one trajectory a
+solver run holds, built of ndarray.dot products: at n = 2 its arithmetic is
+negligible beside NumPy dispatch, and a .dot on its (3, 4, 4) and (3, 4)
+operands costs 0.4-0.7 us per call against 0.8-1.3 us for the matmul gufunc
+behind @ (one BLAS thread), which cut the step from 11.3 to 6.8 us.
 """
 
 from __future__ import annotations
@@ -260,10 +264,22 @@ def sme_step(
     follows lindblad_step to first order, and the state stays a unit vector.
     observables has shape (m, d, d); psi may carry leading batch dims (..., d),
     and dW, drawn from rng, is then (..., m).
+
+    A 1-D psi, the one trajectory a solver run holds, takes a body of
+    ndarray.dot products: at n = 2 the step is almost all NumPy dispatch, and
+    on its (3, 4, 4) stack a matmul-gufunc product costs 0.8-1.3 us per call
+    against 0.4-0.7 us for .dot, which also needs no [..., None] views. A
+    batch keeps the broadcasting body; the two agree to rounding.
     """
     _check_times(tau, dt, first_order=True)
     dw = rng.normal(0.0, math.sqrt(dt), size=psi.shape[:-1] + observables.shape[:1])
     sqrt_tau = math.sqrt(tau)
+    if psi.ndim == 1:
+        xpsi = observables.dot(psi)  # (m, d)
+        readouts = xpsi.dot(psi.conj()).real / sqrt_tau + dw / dt
+        out = psi + (dt / (2.0 * sqrt_tau)) * readouts.dot(xpsi)
+        out /= math.sqrt(out.dot(out.conj()).real)
+        return out, readouts
     xpsi = (observables @ psi[..., None, :, None])[..., 0]  # (..., m, d)
     expect = np.real(xpsi @ psi.conj()[..., :, None])[..., 0]
     readouts = expect / sqrt_tau + dw / dt

@@ -24,10 +24,14 @@ class FilterConfig:
     dt: float
 
     def __post_init__(self) -> None:
+        for name, value in (("t_be", self.t_be), ("dt", self.dt)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.t_be < self.dt:
             raise ValueError(f"t_be = {self.t_be} shorter than dt = {self.dt}")
-        if self.r_th >= 0:
-            raise ValueError(f"failure threshold must be negative, got {self.r_th}")
+        if not -math.inf < self.r_th < 0:
+            raise ValueError(f"failure threshold r_th must be negative and finite, "
+                             f"got {self.r_th}")
 
     @property
     def window(self) -> int:
@@ -87,10 +91,17 @@ def detect_failure(fs: FilterState) -> Optional[int]:
     None until the filter is warmed.
 
     For 1-D channel layouts only; batched callers use below_threshold().
+    Most steps herald nothing, and one argmin and one compare settle those.
+    Any other step, a nan in rbar included (argmin picks it, and it fails the
+    compare), reads the mask, whose lowest channel below threshold need not
+    hold the lowest value.
     """
     if len(fs.shape) != 1:
         raise ValueError("detect_failure expects a 1-D channel layout")
     if not fs.warmed:
+        return None
+    rbar = fs.rbar
+    if rbar[rbar.argmin()] >= fs.cfg.r_th:
         return None
     below = fs.below_threshold()
     hit = int(below.argmax())

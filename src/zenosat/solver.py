@@ -160,9 +160,10 @@ def _evolve(
     Kraus step through violating vectors and, bound here, the frame
     permutations; the averaged map through literal states and, bound here,
     the index tables and the frame permutations derived from them; the
-    continuum ones through dense observable stacks. Kernels are looked up
-    in this module when a run starts, so patches of these names (tracing,
-    profiling) reach every call.
+    continuum ones through dense observable stacks. Kernels, detect_failure
+    and FilterState.update are looked up when a run starts, not per step, and
+    patches of these names made before it (tracing, profiling) reach every
+    call.
 
     theta and the clause operators depend only on the step, so they are
     built ahead in vectorised calls, then the kernel is called once per step
@@ -187,6 +188,7 @@ def _evolve(
     if sampled:
         mode, keys = "heralded-single", ("t", "theta", "purity", "z", "r", "rbar")
         fs = FilterState(cfg.filter_config(horizon), (cs.m,))
+        update, first_failure = fs.update, detect_failure
     else:
         mode, keys = "average", ("t", "theta", "purity", "z")
     every = cfg.record_every
@@ -194,22 +196,22 @@ def _evolve(
     steps = max(1, round(horizon / cfg.dt))
     out = RunOutcome(mode=mode, seed=cfg.seed, consumed_time=steps * cfg.dt)
     block = max(1, _BLOCK_BYTES // step_bytes)
+    tau, dt = cfg.tau, cfg.dt
     for step, theta, ops in _step_operators(operators, block, cfg, horizon, steps):
-        t = step * cfg.dt
         if sampled:
-            state, readouts = kernel(state, ops, cfg.tau, cfg.dt, rng)
-            fs.update(readouts)
+            state, readouts = kernel(state, ops, tau, dt, rng)
+            update(readouts)
         else:
-            state = kernel(state, ops, cfg.tau, cfg.dt)
+            state = kernel(state, ops, tau, dt)
         del ops  # so the next block is built in the cache-warm memory this one frees
         if every and step % every == 0:
-            row = (t, theta, 1.0 if sampled else purity(state), local_z(state))
+            row = (step * dt, theta, 1.0 if sampled else purity(state), local_z(state))
             if sampled:
                 row += (readouts.copy(), fs.rbar.copy())
             for values, value in zip(record.values(), row):
                 values.append(value)
-        if detect and (hit := detect_failure(fs)) is not None:
-            out.consumed_time = out.failed_at = t
+        if detect and (hit := first_failure(fs)) is not None:
+            out.consumed_time = out.failed_at = step * dt
             out.failed_clause = hit
             break
     else:

@@ -409,23 +409,33 @@ def test_sme_preserves_invariants_along_trajectory():
 
 
 def test_sme_batched_matches_single_given_same_noise():
-    psis = np.stack([random_state(4, s) for s in range(4)])
+    # the batched (broadcasting) and one-trajectory (.dot) bodies, on real
+    # states and stacks and on complex states, also under a complex Hermitian
+    # stack U X U^dag (U a random unitary), whose squares stay the identity
     rng = np.random.default_rng(2)
-    dw = rng.normal(0.0, 0.1, size=(4, 3))
+    real = np.stack([random_state(4, s) for s in range(4)])
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=real.shape))
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rotated = u @ X_OBS @ u.conj().T
     tau, dt = 2.0, 0.01
-    out, readouts = sme_step(psis, X_OBS, tau, dt, GivenIncrements(dw))
-    for i in range(4):
-        single, r_single = sme_step(psis[i], X_OBS, tau, dt, GivenIncrements(dw[i]))
-        assert np.allclose(out[i], single)
-        assert np.allclose(readouts[i], r_single)
-        # the Kraus expression: M = 1 + (dt/2sqrt(tau)) sum_i r_i X_i with
-        # r_i = <X_i>/sqrt(tau) + dW_i/dt, psi' = M psi / |M psi|
-        psi = psis[i]
-        r = np.array([psi @ x @ psi for x in X_OBS]) / math.sqrt(tau) + dw[i] / dt
-        step = (np.eye(4) + dt / (2.0 * math.sqrt(tau)) * np.tensordot(r, X_OBS, 1)) @ psi
-        step /= np.linalg.norm(step)
-        assert np.max(np.abs(readouts[i] - r)) < 1e-13
-        assert np.max(np.abs(out[i] - step)) < 1e-13
+    for psis, stack in ((real, X_OBS), (real * phases, X_OBS), (real * phases, rotated)):
+        dw = rng.normal(0.0, 0.1, size=(4, 3))
+        out, readouts = sme_step(psis, stack, tau, dt, GivenIncrements(dw))
+        for i in range(4):
+            single, r_single = sme_step(psis[i], stack, tau, dt, GivenIncrements(dw[i]))
+            assert np.allclose(out[i], single)
+            assert np.allclose(readouts[i], r_single)
+            # the Kraus expression: M = 1 + (dt/2sqrt(tau)) sum_i r_i X_i with
+            # r_i = <X_i>/sqrt(tau) + dW_i/dt, psi' = M psi / |M psi|
+            psi = psis[i]
+            expect = np.array([psi.conj() @ x @ psi for x in stack]).real
+            r = expect / math.sqrt(tau) + dw[i] / dt
+            step = (np.eye(4) + dt / (2.0 * math.sqrt(tau)) * np.tensordot(r, stack, 1)) @ psi
+            step /= np.linalg.norm(step)
+            for got, r_got in ((out[i], readouts[i]), (single, r_single)):
+                assert r_got.dtype == float
+                assert np.max(np.abs(r_got - r)) < 1e-13
+                assert np.max(np.abs(got - step)) < 1e-13
 
 
 def test_sme_ensemble_mean_tracks_deterministic_step():

@@ -30,6 +30,15 @@ def test_config_validation_and_window():
         FilterConfig(t_be=0.005, r_th=-1.0, dt=0.01)
     with pytest.raises(ValueError):
         FilterConfig(t_be=1.0, r_th=0.5, dt=0.01)
+    # values it cannot run with are refused by name: dt = 0 divided by zero
+    # in window, a negative dt asked for a negative buffer, t_be = inf
+    # overflowed, and r_th = nan silently disabled detection
+    for field, bad in (("dt", 0.0), ("dt", -0.1), ("dt", math.nan), ("dt", math.inf),
+                       ("t_be", 0.0), ("t_be", -1.0), ("t_be", math.inf),
+                       ("t_be", math.nan), ("r_th", math.nan), ("r_th", -math.inf)):
+        values = {"t_be": 0.5, "r_th": -1.0, "dt": 0.01, field: bad}
+        with pytest.raises(ValueError, match=field):
+            FilterConfig(**values)
 
 
 def test_default_config_rule():
@@ -127,6 +136,11 @@ def test_detect_failure_reports_lowest_channel():
     assert detect_failure(fs) == 1
     mask = fs.below_threshold()
     assert mask.tolist() == [False, True, True]
+    # the lowest value need not be the lowest channel below threshold
+    fs = FilterState(cfg, (3,))
+    for _ in range(cfg.window + 5):
+        fs.update(np.array([1.0, -2.0, -5.0]))
+    assert detect_failure(fs) == 1
 
 
 def test_detect_failure_requires_one_dimensional_layout():

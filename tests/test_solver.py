@@ -137,8 +137,11 @@ def test_clause_order_independence_in_continuum():
 
 
 # final states of continuum averaged runs (t_f = 40, dt = 0.01) as the
-# per-step Kronecker fold of the clause operators computed them
+# per-step Kronecker fold of the clause operators computed them, and final psi
+# of completed continuum heralded-single runs (t_f = 20, dt = 0.01, detection
+# off, rng seeds 0 and 1) as the broadcasting sme_step body computed them
 CONTINUUM_FINAL_RHO = Path(__file__).parent / "data" / "continuum_final_rho.json"
+CONTINUUM_FINAL_PSI = Path(__file__).parent / "data" / "continuum_final_psi.json"
 
 
 def test_continuum_final_states_are_pinned():
@@ -150,6 +153,15 @@ def test_continuum_final_states_are_pinned():
     for name, f in formulas.items():
         rho = run_average(f, cfg).final_state
         assert np.max(np.abs(rho - np.array(pinned[name]))) < 1e-12, name
+    pinned = json.loads(CONTINUUM_FINAL_PSI.read_text())
+    assert sorted(pinned) == ["two-solutions2", "unique2"]
+    for name, psis in pinned.items():
+        for seed, psi in enumerate(psis):
+            cfg = cfg_with(t_f=20.0, dt=0.01, mode="heralded-single", seed=seed)
+            out = run_heralded_single(formulas[name], cfg, np.random.default_rng(seed),
+                                      detect=False)
+            assert not out.failed
+            assert np.max(np.abs(out.final_state - np.array(psi))) < 1e-12, (name, seed)
 
 
 def test_averaged_continuum_run_divides_out_its_trace_on_return():
