@@ -17,13 +17,14 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .encoding import Schedule
-from .metrics import fit_lambda, phase_transition_curve, tts_99, tts_with_readout
+from .metrics import (fit_lambda, phase_transition_curve, pool_map, tts_99,
+                      tts_with_readout)
 from .qlinalg import basis_probabilities, concurrence_2q, local_z, purity
 from .satcore import (
     CnfFormula,
@@ -204,77 +205,73 @@ def _exp_gamma_scan(spec: dict) -> tuple:
 def _exp_phase_transition(spec: dict, jobs: int) -> tuple:
     n, k, alphas = spec["n"], spec["k"], spec["alphas"]
     instances = spec.get("instances", 200)
+    # every config is built, so a bad mode is refused, before the first curve
+    cfgs = [_sweep_config(spec, t_f, mode)
+            for mode in spec.get("modes", ["average"]) for t_f in spec["tf_list"]]
     rows = []
-    for mode in spec.get("modes", ["average"]):
-        for t_f in spec["tf_list"]:
-            cfg = _sweep_config(spec, t_f, mode)
-            curve = phase_transition_curve(n, k, alphas, cfg, instances, spec["seed"],
-                                           spec.get("shots", 1), jobs)
-            rows.extend([n, k, alpha, cfg.t_f, mode, instances, p]
-                        for alpha, p in zip(alphas, curve))
+    for cfg in cfgs:
+        curve = phase_transition_curve(n, k, alphas, cfg, instances, spec["seed"],
+                                       spec.get("shots", 1), jobs)
+        rows.extend([n, k, alpha, cfg.t_f, cfg.mode, instances, p]
+                    for alpha, p in zip(alphas, curve))
     return ["n", "k", "alpha", "t_f", "mode", "num_instances", "p_succ"], rows
 
 
-def _tts(spec: dict, cfg: RunConfig, instances: Iterable[CnfFormula],
-         rng: np.random.Generator) -> list[float]:
-    """[p_s, tts, tts_99] of the mean exact readout success probability over
-    the instances: of the averaged final state, or over `trajectories`
-    heralded restarts per instance, drawn from rng in turn."""
-    if cfg.mode not in ("average", "heralded-restart"):
-        raise ValueError(f"{spec['kind']} runs modes 'average' and "
-                         f"'heralded-restart', not {cfg.mode!r}")
-    average = cfg.mode == "average"
-    runs = 1 if average else spec.get("trajectories", 10)
-    ps = []
-    for f in instances:
-        sols = enumerate_solutions(f)
-        total = 0.0
-        for _ in range(runs):
-            out = run_average(f, cfg) if average else run_heralded_restart(f, cfg, rng)
-            total += success_probability(out.final_state, f, cfg.tau, cfg.dt_m, sols)
-        ps.append(total / runs)
-    mean_ps = float(np.mean(ps))
-    return [mean_ps,
-            tts_with_readout(mean_ps, spec.get("p_star", 0.99), cfg.t_f, cfg.dt_m),
-            tts_99(mean_ps, cfg.t_f)]
+def _instance_success(task) -> float:
+    """Mean exact readout success probability of one instance at one T_f: of its
+    averaged final state, or of `runs` heralded restarts drawn from default_rng(key)."""
+    f, sols, cfg, runs, key = task
+    rng = np.random.default_rng(key)
+    outs = (run_average(f, cfg) if cfg.mode == "average"
+            else run_heralded_restart(f, cfg, rng) for _ in range(runs))
+    return sum(success_probability(out.final_state, f, cfg.tau, cfg.dt_m, sols)
+               for out in outs) / runs
 
 
-def _exp_tts_scaling(spec: dict) -> tuple:
-    n_list = spec["n_list"]
-    if len(n_list) < 2 or len(set(n_list)) < len(n_list):
-        raise ValueError(f"tts-scaling fits lambda over n_list, which needs two or"
-                         f" more distinct n and no repeats, got {n_list}")
+def _exp_tts(spec: dict, jobs: int) -> tuple:
+    """One time-to-solution grid over (n, T_f): tts-scaling over n_list at one
+    tf, with a lambda fit; tts-vs-Tf over tf_list at one n or on one cnf.
+    Instance i at n draws from default_rng([seed, n, i]) and its runs at T_f
+    index j from default_rng([seed, n, i, j]), so jobs changes no value."""
+    scaling = spec["kind"] == "tts-scaling"
     mode = spec.get("mode", "average")
-    cfg = _sweep_config(spec, spec["tf"], mode)
-    rows = []
-    for n in n_list:
-        rng = np.random.default_rng([spec["seed"], n])
-        # drawn lazily: each instance's draw precedes its trajectories' draws
-        instances = (
-            random_unique_solution_instance(n, spec["alpha"], spec["k"], rng)
-            for _ in range(spec.get("instances", 20))
-        )
-        rows.append([n, mode, cfg.t_f] + _tts(spec, cfg, instances, rng))
+    if mode not in ("average", "heralded-restart"):
+        raise ValueError(f"{spec['kind']} runs modes 'average' and "
+                         f"'heralded-restart', not {mode!r}")
+    if scaling:
+        n_list, tf_list = spec["n_list"], [spec["tf"]]
+        if len(n_list) < 2 or len(set(n_list)) < len(n_list):
+            raise ValueError(f"tts-scaling fits lambda over n_list, which needs two or"
+                             f" more distinct n and no repeats, got {n_list}")
+    else:
+        tf_list = spec["tf_list"]
+    cfgs = [_sweep_config(spec, tf, mode) for tf in tf_list]
+    if not scaling and "cnf" in spec:
+        f = _load_formula(spec["cnf"])
+        instances = {f.num_vars: [f]}
+    else:
+        count = spec.get("instances", 20 if scaling else 10)
+        instances = {n: [random_unique_solution_instance(
+            n, spec["alpha"], spec["k"], np.random.default_rng([spec["seed"], n, i]))
+            for i in range(count)] for n in (n_list if scaling else [spec["n"]])}
+    runs = 1 if mode == "average" else spec.get("trajectories", 10)
+    tasks = [(f, enumerate_solutions(f), cfg, runs, [spec["seed"], n, i, j])
+             for n, fs in instances.items() for i, f in enumerate(fs)
+             for j, cfg in enumerate(cfgs)]
+    p_s = np.reshape(pool_map(_instance_success, tasks, jobs),
+                     (len(instances), -1, len(cfgs))).mean(axis=1).tolist()
+    p_star = spec.get("p_star", 0.99)
+    points = [[p, tts_with_readout(p, p_star, cfg.t_f, cfg.dt_m), tts_99(p, cfg.t_f)]
+              for ps in p_s for cfg, p in zip(cfgs, ps)]  # n-major
+    if not scaling:
+        return (["tf_over_tau", "mode", "p_s", "tts", "tts_99"],
+                [[tf, mode, *point] for tf, point in zip(tf_list, points)])
+    rows = [[n, mode, cfgs[0].t_f, *point] for n, point in zip(n_list, points)]
     fit = fit_lambda([(row[0], row[4]) for row in rows])
     return ["n", "mode", "t_f", "p_s", "tts", "tts_99"], rows, {
         "lambda": fit.lam, "prefactor": fit.prefactor,
         "stderr": fit.stderr, "n_range": list(fit.n_range),
     }
-
-
-def _exp_tts_vs_tf(spec: dict) -> tuple:
-    mode = spec.get("mode", "average")
-    rng = np.random.default_rng(spec["seed"])
-    if "cnf" in spec:
-        instances = [_load_formula(spec["cnf"])]
-    else:
-        instances = [
-            random_unique_solution_instance(spec["n"], spec["alpha"], spec["k"], rng)
-            for _ in range(spec.get("instances", 10))
-        ]
-    rows = [[tf, mode] + _tts(spec, _sweep_config(spec, tf, mode), instances, rng)
-            for tf in spec["tf_list"]]
-    return ["tf_over_tau", "mode", "p_s", "tts", "tts_99"], rows
 
 
 def _exp_single_run_trace(spec: dict) -> tuple:
@@ -301,10 +298,11 @@ EXPERIMENTS = {
     "fidelity-contour": _exp_fidelity_contour,
     "gamma-scan": _exp_gamma_scan,
     "phase-transition": _exp_phase_transition,
-    "tts-scaling": _exp_tts_scaling,
-    "tts-vs-Tf": _exp_tts_vs_tf,
+    "tts-scaling": _exp_tts,
+    "tts-vs-Tf": _exp_tts,
     "single-run-trace": _exp_single_run_trace,
 }
+_POOLED_KINDS = ("phase-transition", "tts-scaling", "tts-vs-Tf")  # the grids: take jobs
 
 
 def _coerce(value: str):
@@ -351,7 +349,9 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
         if key == "p_star" and not 0.0 < value < 1.0:
             raise ValueError(f"{kind} spec key 'p_star' must lie in (0, 1), got {value!r}")
     name = spec.get("name", kind.replace("-", "_").lower())
-    parallel = {"jobs": jobs} if kind == "phase-transition" else {}
+    if not isinstance(name, str) or not name or any(s in name for s in ("/", "\\", "..")):
+        raise ValueError(f"{kind} spec 'name' must be a plain file stem, got {name!r}")
+    parallel = {"jobs": jobs} if kind in _POOLED_KINDS else {}
     header, rows, *fit = EXPERIMENTS[kind](_Spec(spec), **parallel)
     # the directory is made only once the kind has run, so a refused spec
     # leaves none

@@ -5,8 +5,9 @@ exponential scaling fits.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,6 +50,19 @@ def tts_99(p_s: float, t_f: float) -> float:
     return t_f * math.log(0.01) / math.log(1.0 - p_s)
 
 
+def pool_map(fn: Callable, tasks: list, jobs: int) -> list:
+    """[fn(task) for task in tasks], on min(jobs, task count, usable cores)
+    worker processes, all started up front; the results do not depend on jobs."""
+    workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return [fn(task) for task in tasks]
+    # imported here: multiprocessing would add to every `import zenosat`
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+
+
 def _decide_instance(args) -> bool:
     """One phase-transition trial: did we classify satisfiability correctly?
 
@@ -56,15 +70,8 @@ def _decide_instance(args) -> bool:
     instance, or no run verified for an unsatisfiable one.
     """
     f, cfg, shots, seed = args
-    sat = is_satisfiable(f)
     rng = np.random.default_rng(seed)
-    any_verified = False
-    for _ in range(shots):
-        out = run_full(f, cfg, rng)
-        if out.verified:
-            any_verified = True
-            break
-    return any_verified if sat else not any_verified
+    return any(run_full(f, cfg, rng).verified for _ in range(shots)) == is_satisfiable(f)
 
 
 def phase_transition_curve(
@@ -82,8 +89,8 @@ def phase_transition_curve(
 
     Each alpha draws its instances, each followed by its run seed, from a
     generator seeded with [seed, round(1000 alpha)], so alphas that share
-    that key are refused before any draw. With jobs > 1 one process pool
-    decides the instances of the whole curve, which changes no value.
+    that key are refused before any draw. `pool_map` decides the instances
+    of the whole curve, so jobs changes no value.
     """
     keys = [int(round(alpha * 1000)) for alpha in alphas]
     if len(set(keys)) < len(keys):
@@ -95,14 +102,7 @@ def phase_transition_curve(
         for _ in range(num_instances):
             f = random_instance(n, alpha, k, rng)
             tasks.append((f, cfg, shots, int(rng.integers(2**63))))
-    if jobs > 1:
-        # imported here: multiprocessing would add to every `import zenosat`
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_decide_instance, tasks, chunksize=4))
-    else:
-        results = [_decide_instance(t) for t in tasks]
+    results = pool_map(_decide_instance, tasks, jobs)
     return np.reshape(results, (len(alphas), num_instances)).mean(axis=1).tolist()
 
 
@@ -115,8 +115,7 @@ def fit_lambda(points: Sequence[tuple[int, float]]) -> ScalingFit:
     if np.any(ts <= 0) or np.any(~np.isfinite(ts)):
         raise ValueError("TTS values must be finite and positive")
     if len(points) > 2:
-        coeffs, cov = np.polyfit(ns, np.log(ts), 1, cov=True)
-        slope, intercept = coeffs
+        (slope, intercept), cov = np.polyfit(ns, np.log(ts), 1, cov=True)
         stderr = float(math.exp(slope) * math.sqrt(max(cov[0, 0], 0.0)))
     else:
         slope, intercept = np.polyfit(ns, np.log(ts), 1)

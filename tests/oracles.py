@@ -7,8 +7,8 @@ dense-rho Kraus step and averaged map, the integral form of the readout
 filter, the Lindblad step as per-clause stacks renormalized every step, a
 Heun Lindblad step), plus closed forms, Pauli matrices, the co-rotating
 frame, the Zeno diagnostic, the trace distance and a classical baseline
-solver that only tests use, and the success probability summed solution by
-solution over Hamming distances.
+solver that only tests use, the success probability summed solution by
+solution over Hamming distances, and a serial stand-in for a process pool.
 """
 
 import math
@@ -420,3 +420,24 @@ def schoening_solve(
             v = abs(cl[rng.integers(len(cl))])
             bits[v - 1] = not bits[v - 1]
     return None
+
+
+def serial_pool(sizes: list):
+    """A stand-in for ``concurrent.futures.ProcessPoolExecutor`` that appends
+    each pool's ``max_workers`` to sizes and maps in this process, so a test
+    sees how large a pool would be without starting one."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    return SerialPool

@@ -2,6 +2,7 @@
 exit codes, CSV/manifest outputs, and deterministic replays.
 """
 
+import concurrent.futures
 import contextlib
 import csv
 import json
@@ -14,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import fidelity_pure, solution_state
-from zenosat import cli
+from oracles import fidelity_pure, serial_pool, solution_state
+from zenosat import cli, metrics
 from zenosat.cli import (
     EXIT_SOLVED,
     EXIT_UNDECIDED,
@@ -33,6 +34,7 @@ from zenosat.satcore import (
     parse_dimacs,
     random_unique_solution_instance,
 )
+from zenosat.solver import RunConfig, run_average, run_heralded_restart, success_probability
 
 
 # one small manifest per experiment kind, with the outputs it wrote
@@ -320,8 +322,9 @@ def test_experiment_gamma_scan_csv(tmp_path, capsys):
 
 
 def test_experiment_jobs_option_works_for_serial_kinds(tmp_path, capsys):
-    # only phase-transition runs in parallel; the other kinds accept --jobs
-    # from the CLI and write the same CSV as a serial run
+    # only the grid kinds (phase-transition and the two tts kinds) run in
+    # parallel; the other kinds accept --jobs from the CLI and write the same
+    # CSV as a serial run
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(GAMMA_SPEC))
     for jobs in ("1", "2"):
@@ -485,6 +488,60 @@ def test_experiment_tts_vs_tf(tmp_path):
         assert len(rows) == 3
         # longer evolution raises the success probability on the easy problem
         assert float(rows[2][2]) > float(rows[1][2])
+
+
+def _direct_p_s(spec, n, t_f, j):
+    """p_s of one tts grid point computed run by run: instance i at n drawn
+    from default_rng([seed, n, i]), its runs at T_f index j from
+    default_rng([seed, n, i, j])."""
+    cfg = RunConfig(t_f=t_f, dt=spec["dt"], dt_m=spec["dtm"], mode=spec["mode"])
+    per_instance = []
+    for i in range(spec["instances"]):
+        seed = [spec["seed"], n, i]
+        f = random_unique_solution_instance(n, spec["alpha"], spec["k"],
+                                            np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + [j])
+        if cfg.mode == "average":
+            outs = [run_average(f, cfg)]
+        else:
+            outs = [run_heralded_restart(f, cfg, rng) for _ in range(spec["trajectories"])]
+        per_instance.append(sum(success_probability(out.final_state, f, cfg.tau, cfg.dt_m)
+                                for out in outs) / len(outs))
+    return sum(per_instance) / len(per_instance)
+
+
+@pytest.mark.parametrize("mode", ["average", "heralded-restart"])
+def test_tts_kinds_follow_the_per_instance_seeding(mode, tmp_path):
+    # each row's p_s is the direct computation from per-instance and
+    # per-(instance, T_f index) generators, in both views of the grid
+    base = {"alpha": 2.0, "k": 2, "dt": 0.25, "dtm": 10.0, "instances": 2,
+            "trajectories": 2, "seed": 6, "mode": mode}
+    scaling = dict(base, kind="tts-scaling", name="scal", n_list=[3, 4], tf=10.0)
+    run_experiment_spec(scaling, tmp_path)
+    rows = read_csv(tmp_path / "scal.csv")[1:]
+    assert [float(row[3]) for row in rows] == [_direct_p_s(scaling, n, 10.0, 0)
+                                               for n in (3, 4)]
+    vs_tf = dict(base, kind="tts-vs-Tf", name="sweep", n=3, tf_list=[5.0, 10.0])
+    run_experiment_spec(vs_tf, tmp_path)
+    rows = read_csv(tmp_path / "sweep.csv")[1:]
+    assert [float(row[2]) for row in rows] == [_direct_p_s(vs_tf, 3, t_f, j)
+                                               for j, t_f in enumerate((5.0, 10.0))]
+
+
+def test_jobs_far_above_the_task_count_starts_one_worker_per_task(tmp_path, monkeypatch,
+                                                                   capsys):
+    # every worker of a pool is started up front: on 64 usable cores an
+    # 8-task curve gets 8 workers however many jobs are asked for
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(sizes))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    spec = PINNED_MANIFESTS["phase-transition"]["spec"]  # 2 alphas x 4 instances
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["experiment", str(tmp_path / "spec.json"), "--out", str(tmp_path),
+                 "--jobs", "5000"]) == 0
+    capsys.readouterr()
+    assert sizes == [8] * len(spec["modes"]) * len(spec["tf_list"])
+    assert (tmp_path / "pt.csv").read_bytes() == (PINNED / "pt.csv").read_bytes()
 
 
 @pytest.mark.parametrize("kind", list(EXPERIMENTS))
@@ -668,6 +725,44 @@ def test_phase_transition_refuses_alphas_sharing_a_seed(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("name", ["../escaped", "sub/x", "sub\\x", "..", "", 5],
+                         ids=["parent", "subdir", "backslash", "dotdot", "empty",
+                              "number"])
+def test_spec_name_must_be_a_plain_file_stem(name, tmp_path, monkeypatch, capsys):
+    # "../escaped" wrote its CSV and manifest outside --out; "sub/x" ran the
+    # whole experiment before failing to write
+    runs = []
+    run_average = cli.run_average
+    monkeypatch.setattr(cli, "run_average", lambda *a: runs.append(a) or run_average(*a))
+    (tmp_path / "spec.json").write_text(json.dumps(dict(GAMMA_SPEC, name=name)))
+    work = tmp_path / "work"
+    code = main(["experiment", str(tmp_path / "spec.json"), "--out", str(work / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and "'name'" in captured.err
+    assert len(runs) == 0
+    assert captured.out == "" and not work.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_phase_transition_refuses_a_bad_mode_before_any_curve(tmp_path, monkeypatch,
+                                                              capsys):
+    # every (mode, T_f) config is built first: the average curve's instances
+    # were decided before "bogus" was refused
+    decisions = []
+    decide = metrics._decide_instance
+    monkeypatch.setattr(metrics, "_decide_instance",
+                        lambda task: decisions.append(task) or decide(task))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(PT_SPEC, modes=["average", "bogus"], seed=1,
+                                         instances=3)))
+    out = tmp_path / "out"
+    code = main(["experiment", str(spec_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and "'bogus'" in captured.err
+    assert len(decisions) == 0
+    assert captured.out == "" and not out.exists()
+
+
 def test_refused_spec_leaves_no_output_directory(tmp_path):
     outdir = tmp_path / "out" / "sweep"
     with pytest.raises(ValueError):
@@ -723,9 +818,11 @@ def test_committed_manifests_replay_identical(manifest, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "identical"
 
 
-def test_committed_phase_transition_replays_identical_with_two_jobs(tmp_path, capsys):
-    # one process pool per curve decides the instances a serial run does
-    manifest = PINNED / "pt_manifest.json"
+@pytest.mark.parametrize("name", ["pt", "scalr", "tts_vs_tf"])
+def test_committed_grid_manifests_replay_identical_with_two_jobs(name, tmp_path, capsys):
+    # the grid kinds seed every task on its own, so a process pool decides
+    # the instances and runs a serial run does
+    manifest = PINNED / f"{name}_manifest.json"
     assert main(["replay", str(manifest), "--out", str(tmp_path), "--jobs", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "identical"
 

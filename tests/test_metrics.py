@@ -2,6 +2,7 @@
 rule, and exponential scaling fits.
 """
 
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -11,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import polynomial_minimum, unique_bias_success
+from oracles import polynomial_minimum, serial_pool, unique_bias_success
 from zenosat.metrics import (
     ScalingFit,
     _decide_instance,
     fit_lambda,
     n_star,
     phase_transition_curve,
+    pool_map,
     tts_99,
     tts_with_readout,
 )
@@ -101,6 +103,20 @@ def test_phase_transition_curve_refuses_alphas_sharing_a_seed(alphas, monkeypatc
     monkeypatch.setattr("zenosat.metrics.random_instance", no_draw)
     with pytest.raises(ValueError, match="share instances"):
         phase_transition_curve(3, 2, alphas, _quick_cfg(), 2, seed=2)
+
+
+@pytest.mark.parametrize("jobs, cores, workers", [
+    (5000, 64, 8), (5000, 3, 3), (2, 64, 2), (5000, 1, None), (1, 64, None),
+])
+def test_pool_map_starts_at_most_one_worker_per_task_and_core(jobs, cores, workers,
+                                                               monkeypatch):
+    # a pool starts all its workers up front, so it is sized by the tasks and
+    # the usable cores as well as by jobs; one worker maps in this process
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(sizes))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert pool_map(abs, list(range(-4, 4)), jobs) == [4, 3, 2, 1, 0, 1, 2, 3]
+    assert sizes == ([] if workers is None else [workers])
 
 
 def test_easy_regime_classifies_well():
