@@ -228,50 +228,64 @@ def _instance_success(task) -> float:
                for out in outs) / runs
 
 
-def _exp_tts(spec: dict, jobs: int) -> tuple:
-    """One time-to-solution grid over (n, T_f): tts-scaling over n_list at one
-    tf, with a lambda fit; tts-vs-Tf over tf_list at one n or on one cnf.
-    Instance i at n draws from default_rng([seed, n, i]) and its runs at T_f
-    index j from default_rng([seed, n, i, j]), so jobs changes no value."""
-    scaling = spec["kind"] == "tts-scaling"
+def _tts_configs(spec: dict, tf_list: list) -> list[RunConfig]:
     mode = spec.get("mode", "average")
     if mode not in ("average", "heralded-restart"):
         raise ValueError(f"{spec['kind']} runs modes 'average' and "
                          f"'heralded-restart', not {mode!r}")
-    if scaling:
-        n_list, tf_list = spec["n_list"], [spec["tf"]]
-        if len(n_list) < 2 or len(set(n_list)) < len(n_list):
-            raise ValueError(f"tts-scaling fits lambda over n_list, which needs two or"
-                             f" more distinct n and no repeats, got {n_list}")
-    else:
-        tf_list = spec["tf_list"]
-    cfgs = [_sweep_config(spec, tf, mode) for tf in tf_list]
-    if not scaling and "cnf" in spec:
-        f = _load_formula(spec["cnf"])
-        instances = {f.num_vars: [f]}
-    else:
-        count = spec.get("instances", 20 if scaling else 10)
-        instances = {n: [random_unique_solution_instance(
-            n, spec["alpha"], spec["k"], np.random.default_rng([spec["seed"], n, i]))
-            for i in range(count)] for n in (n_list if scaling else [spec["n"]])}
-    runs = 1 if mode == "average" else spec.get("trajectories", 10)
+    return [_sweep_config(spec, tf, mode) for tf in tf_list]
+
+
+def _tts_instances(spec: dict, n_list: list, count: int) -> dict:
+    """{n: [instance i at n, drawn from default_rng([seed, n, i])]}"""
+    return {n: [random_unique_solution_instance(n, spec["alpha"], spec["k"],
+                                                np.random.default_rng([spec["seed"], n, i]))
+                for i in range(count)]
+            for n in n_list}
+
+
+def _tts_grid(spec: dict, instances: dict, cfgs: list, jobs: int) -> list:
+    """The time-to-solution grid over (n, T_f): for each n of `instances` and
+    each config, [p_s, tts, tts_99] of the mean exact readout success
+    probability over the n's instances. Instance i at n runs at config index
+    j from default_rng([seed, n, i, j]), so jobs changes no value."""
+    runs = 1 if cfgs[0].mode == "average" else spec.get("trajectories", 10)
     tasks = [(f, enumerate_solutions(f), cfg, runs, [spec["seed"], n, i, j])
              for n, fs in instances.items() for i, f in enumerate(fs)
              for j, cfg in enumerate(cfgs)]
     p_s = np.reshape(pool_map(_instance_success, tasks, jobs),
-                     (len(instances), -1, len(cfgs))).mean(axis=1).tolist()
+                     (len(instances), -1, len(cfgs))).mean(axis=1)
     p_star = spec.get("p_star", 0.99)
-    points = [[p, tts_with_readout(p, p_star, cfg.t_f, cfg.dt_m), tts_99(p, cfg.t_f)]
-              for ps in p_s for cfg, p in zip(cfgs, ps)]  # n-major
-    if not scaling:
-        return (["tf_over_tau", "mode", "p_s", "tts", "tts_99"],
-                [[tf, mode, *point] for tf, point in zip(tf_list, points)])
-    rows = [[n, mode, cfgs[0].t_f, *point] for n, point in zip(n_list, points)]
+    return [[[p, tts_with_readout(p, p_star, cfg.t_f, cfg.dt_m), tts_99(p, cfg.t_f)]
+             for cfg, p in zip(cfgs, ps)] for ps in p_s.tolist()]
+
+
+def _exp_tts_over_n(spec: dict, jobs: int) -> tuple:
+    n_list = spec["n_list"]
+    if len(n_list) < 2 or len(set(n_list)) < len(n_list):
+        raise ValueError(f"tts-scaling fits lambda over n_list, which needs two or"
+                         f" more distinct n and no repeats, got {n_list}")
+    (cfg,) = _tts_configs(spec, [spec["tf"]])
+    instances = _tts_instances(spec, n_list, spec.get("instances", 20))
+    rows = [[n, cfg.mode, cfg.t_f, *point]
+            for n, (point,) in zip(n_list, _tts_grid(spec, instances, [cfg], jobs))]
     fit = fit_lambda([(row[0], row[4]) for row in rows])
     return ["n", "mode", "t_f", "p_s", "tts", "tts_99"], rows, {
         "lambda": fit.lam, "prefactor": fit.prefactor,
         "stderr": fit.stderr, "n_range": list(fit.n_range),
     }
+
+
+def _exp_tts_over_tf(spec: dict, jobs: int) -> tuple:
+    cfgs = _tts_configs(spec, spec["tf_list"])
+    if "cnf" in spec:
+        f = _load_formula(spec["cnf"])
+        instances = {f.num_vars: [f]}
+    else:
+        instances = _tts_instances(spec, [spec["n"]], spec.get("instances", 10))
+    (points,) = _tts_grid(spec, instances, cfgs, jobs)
+    rows = [[tf, cfg.mode, *point] for tf, cfg, point in zip(spec["tf_list"], cfgs, points)]
+    return ["tf_over_tau", "mode", "p_s", "tts", "tts_99"], rows
 
 
 def _exp_single_run_trace(spec: dict) -> tuple:
@@ -298,8 +312,8 @@ EXPERIMENTS = {
     "fidelity-contour": _exp_fidelity_contour,
     "gamma-scan": _exp_gamma_scan,
     "phase-transition": _exp_phase_transition,
-    "tts-scaling": _exp_tts,
-    "tts-vs-Tf": _exp_tts,
+    "tts-scaling": _exp_tts_over_n,
+    "tts-vs-Tf": _exp_tts_over_tf,
     "single-run-trace": _exp_single_run_trace,
 }
 _POOLED_KINDS = ("phase-transition", "tts-scaling", "tts-vs-Tf")  # the grids: take jobs

@@ -53,14 +53,17 @@ def tts_99(p_s: float, t_f: float) -> float:
 def pool_map(fn: Callable, tasks: list, jobs: int) -> list:
     """[fn(task) for task in tasks], on min(jobs, task count, usable cores)
     worker processes, all started up front; the results do not depend on jobs."""
-    workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
+    workers = min(jobs, len(tasks))
+    if workers > 1:  # the usable cores; sched_getaffinity is not on every platform
+        workers = min(workers, len(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if workers < 2:
         return [fn(task) for task in tasks]
     # imported here: multiprocessing would add to every `import zenosat`
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        return list(pool.map(fn, tasks, chunksize=4))
 
 
 def _decide_instance(args) -> bool:
@@ -70,8 +73,15 @@ def _decide_instance(args) -> bool:
     instance, or no run verified for an unsatisfiable one.
     """
     f, cfg, shots, seed = args
+    sat = is_satisfiable(f)
     rng = np.random.default_rng(seed)
-    return any(run_full(f, cfg, rng).verified for _ in range(shots)) == is_satisfiable(f)
+    any_verified = False
+    for _ in range(shots):
+        out = run_full(f, cfg, rng)
+        if out.verified:
+            any_verified = True
+            break
+    return any_verified if sat else not any_verified
 
 
 def phase_transition_curve(
@@ -115,7 +125,8 @@ def fit_lambda(points: Sequence[tuple[int, float]]) -> ScalingFit:
     if np.any(ts <= 0) or np.any(~np.isfinite(ts)):
         raise ValueError("TTS values must be finite and positive")
     if len(points) > 2:
-        (slope, intercept), cov = np.polyfit(ns, np.log(ts), 1, cov=True)
+        coeffs, cov = np.polyfit(ns, np.log(ts), 1, cov=True)
+        slope, intercept = coeffs
         stderr = float(math.exp(slope) * math.sqrt(max(cov[0, 0], 0.0)))
     else:
         slope, intercept = np.polyfit(ns, np.log(ts), 1)

@@ -119,6 +119,21 @@ def test_pool_map_starts_at_most_one_worker_per_task_and_core(jobs, cores, worke
     assert sizes == ([] if workers is None else [workers])
 
 
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (1, 4, None), (5000, 3, 3), (5000, None, None),
+])
+def test_pool_map_counts_cores_without_sched_getaffinity(jobs, cpus, workers,
+                                                         monkeypatch):
+    # sched_getaffinity is Linux only: elsewhere the pool is sized by
+    # os.cpu_count(), and a serial map reads neither
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool(sizes))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert pool_map(abs, list(range(-4, 4)), jobs) == [4, 3, 2, 1, 0, 1, 2, 3]
+    assert sizes == ([] if workers is None else [workers])
+
+
 def test_easy_regime_classifies_well():
     # low density, long runs: most satisfiable instances should verify
     cfg = RunConfig(t_f=150.0, dt=0.25, dt_m=200.0, mode="average")
