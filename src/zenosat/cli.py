@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -163,55 +164,42 @@ def _best_solution_fidelity(rho: np.ndarray, sols: SolutionSet) -> float:
     return float(probs[tuple(bits.T)].max())
 
 
-def _config(spec: dict, t_f: float, dt: float, dt_m: float = 0.0,
-            **fields) -> RunConfig:
-    """RunConfig from spec times, which are in units of the spec's tau."""
-    tau = spec.get("tau", 1.0)
+def _config(tau: float, t_f: float, dt: float, dt_m: float = 0.0, **fields) -> RunConfig:
+    """RunConfig from spec times, which are in units of tau."""
     return RunConfig(t_f=t_f * tau, dt=dt * tau, dt_m=dt_m * tau, tau=tau, **fields)
 
 
-def _sweep_config(spec: dict, t_f: float, mode: str) -> RunConfig:
-    """RunConfig of the sweep kinds: dt 0.05 and dtm 50 unless the spec sets them."""
-    return _config(spec, t_f, spec.get("dt", 0.05), spec.get("dtm", 50.0), mode=mode)
-
-
-def _exp_fidelity_contour(spec: dict) -> tuple:
-    f = _load_formula(spec.get("cnf", "builtin:unique2"))
+def _exp_fidelity_contour(*, tf_over_tau, dt_over_tau, cnf="builtin:unique2", tau=1.0):
+    f = _load_formula(cnf)
     sols = enumerate_solutions(f)
     rows = []
-    for tf_over_tau in spec["tf_over_tau"]:
-        for dt_over_tau in spec["dt_over_tau"]:
-            rho = run_average(f, _config(spec, tf_over_tau, dt_over_tau)).final_rho
-            rows.append([dt_over_tau, tf_over_tau, _best_solution_fidelity(rho, sols)])
+    for t_f in tf_over_tau:
+        for dt in dt_over_tau:
+            rho = run_average(f, _config(tau, t_f, dt)).final_rho
+            rows.append([dt, t_f, _best_solution_fidelity(rho, sols)])
     return ["dt_over_tau", "tf_over_tau", "fidelity"], rows
 
 
-def _exp_gamma_scan(spec: dict) -> tuple:
-    f = _load_formula(spec.get("cnf", "builtin:unique2"))
+def _exp_gamma_scan(*, gamma_tf, cnf="builtin:unique2", dt=0.01, tau=1.0):
+    f = _load_formula(cnf)
     n, sols = f.num_vars, enumerate_solutions(f)
     rows = []
-    for gamma_tf in spec["gamma_tf"]:
-        cfg = _config(spec, 4.0 * gamma_tf, spec.get("dt", 0.01))  # Gamma = 1/(4 tau)
-        rho = run_average(f, cfg).final_rho
+    for g in gamma_tf:
+        rho = run_average(f, _config(tau, 4.0 * g, dt)).final_rho  # Gamma = 1/(4 tau)
         conc = concurrence_2q(rho) if n == 2 else math.nan
-        rows.append([gamma_tf, purity(rho), conc, _best_solution_fidelity(rho, sols),
+        rows.append([g, purity(rho), conc, _best_solution_fidelity(rho, sols),
                      *local_z(rho)])
-    header = ["gamma_tf", "purity", "concurrence", "fidelity"] + [
-        f"z{j}" for j in range(1, n + 1)
-    ]
-    return header, rows
+    header = ["gamma_tf", "purity", "concurrence", "fidelity"]
+    return header + [f"z{j}" for j in range(1, n + 1)], rows
 
 
-def _exp_phase_transition(spec: dict, jobs: int) -> tuple:
-    n, k, alphas = spec["n"], spec["k"], spec["alphas"]
-    instances = spec.get("instances", 200)
+def _exp_phase_transition(jobs, *, n, k, alphas, tf_list, seed, modes=("average",),
+                          instances=200, shots=1, dt=0.05, dtm=50.0, tau=1.0):
     # every config is built, so a bad mode is refused, before the first curve
-    cfgs = [_sweep_config(spec, t_f, mode)
-            for mode in spec.get("modes", ["average"]) for t_f in spec["tf_list"]]
+    cfgs = [_config(tau, t_f, dt, dtm, mode=mode) for mode in modes for t_f in tf_list]
     rows = []
     for cfg in cfgs:
-        curve = phase_transition_curve(n, k, alphas, cfg, instances, spec["seed"],
-                                       spec.get("shots", 1), jobs)
+        curve = phase_transition_curve(n, k, alphas, cfg, instances, seed, shots, jobs)
         rows.extend([n, k, alpha, cfg.t_f, cfg.mode, instances, p]
                     for alpha, p in zip(alphas, curve))
     return ["n", "k", "alpha", "t_f", "mode", "num_instances", "p_succ"], rows
@@ -228,47 +216,46 @@ def _instance_success(task) -> float:
                for out in outs) / runs
 
 
-def _tts_configs(spec: dict, tf_list: list) -> list[RunConfig]:
-    mode = spec.get("mode", "average")
+def _tts_configs(mode: str, tf_list: list, dt: float, dtm: float, tau: float) -> list:
     if mode not in ("average", "heralded-restart"):
-        raise ValueError(f"{spec['kind']} runs modes 'average' and "
+        raise ValueError("time-to-solution kinds run modes 'average' and "
                          f"'heralded-restart', not {mode!r}")
-    return [_sweep_config(spec, tf, mode) for tf in tf_list]
+    return [_config(tau, t_f, dt, dtm, mode=mode) for t_f in tf_list]
 
 
-def _tts_instances(spec: dict, n_list: list, count: int) -> dict:
+def _tts_instances(n_list: list, alpha: float, k: int, count: int, seed: int) -> dict:
     """{n: [instance i at n, drawn from default_rng([seed, n, i])]}"""
-    return {n: [random_unique_solution_instance(n, spec["alpha"], spec["k"],
-                                                np.random.default_rng([spec["seed"], n, i]))
+    return {n: [random_unique_solution_instance(n, alpha, k,
+                                                np.random.default_rng([seed, n, i]))
                 for i in range(count)]
             for n in n_list}
 
 
-def _tts_grid(spec: dict, instances: dict, cfgs: list, jobs: int) -> list:
-    """The time-to-solution grid over (n, T_f): for each n of `instances` and
+def _tts_grid(formulas: dict, cfgs: list, seed: int, trajectories: int, p_star: float,
+              jobs: int) -> list:
+    """The time-to-solution grid over (n, T_f): for each n of `formulas` and
     each config, [p_s, tts, tts_99] of the mean exact readout success
     probability over the n's instances. Instance i at n runs at config index
     j from default_rng([seed, n, i, j]), so jobs changes no value."""
-    runs = 1 if cfgs[0].mode == "average" else spec.get("trajectories", 10)
-    tasks = [(f, enumerate_solutions(f), cfg, runs, [spec["seed"], n, i, j])
-             for n, fs in instances.items() for i, f in enumerate(fs)
+    runs = 1 if cfgs[0].mode == "average" else trajectories
+    tasks = [(f, enumerate_solutions(f), cfg, runs, [seed, n, i, j])
+             for n, fs in formulas.items() for i, f in enumerate(fs)
              for j, cfg in enumerate(cfgs)]
     p_s = np.reshape(pool_map(_instance_success, tasks, jobs),
-                     (len(instances), -1, len(cfgs))).mean(axis=1)
-    p_star = spec.get("p_star", 0.99)
+                     (len(formulas), -1, len(cfgs))).mean(axis=1)
     return [[[p, tts_with_readout(p, p_star, cfg.t_f, cfg.dt_m), tts_99(p, cfg.t_f)]
              for cfg, p in zip(cfgs, ps)] for ps in p_s.tolist()]
 
 
-def _exp_tts_over_n(spec: dict, jobs: int) -> tuple:
-    n_list = spec["n_list"]
+def _exp_tts_over_n(jobs, *, n_list, alpha, k, tf, seed, mode="average", instances=20,
+                    trajectories=10, p_star=0.99, dt=0.05, dtm=50.0, tau=1.0):
     if len(n_list) < 2 or len(set(n_list)) < len(n_list):
         raise ValueError(f"tts-scaling fits lambda over n_list, which needs two or"
                          f" more distinct n and no repeats, got {n_list}")
-    (cfg,) = _tts_configs(spec, [spec["tf"]])
-    instances = _tts_instances(spec, n_list, spec.get("instances", 20))
-    rows = [[n, cfg.mode, cfg.t_f, *point]
-            for n, (point,) in zip(n_list, _tts_grid(spec, instances, [cfg], jobs))]
+    (cfg,) = _tts_configs(mode, [tf], dt, dtm, tau)
+    formulas = _tts_instances(n_list, alpha, k, instances, seed)
+    grid = _tts_grid(formulas, [cfg], seed, trajectories, p_star, jobs)
+    rows = [[n, cfg.mode, cfg.t_f, *point] for n, (point,) in zip(n_list, grid)]
     fit = fit_lambda([(row[0], row[4]) for row in rows])
     return ["n", "mode", "t_f", "p_s", "tts", "tts_99"], rows, {
         "lambda": fit.lam, "prefactor": fit.prefactor,
@@ -276,26 +263,28 @@ def _exp_tts_over_n(spec: dict, jobs: int) -> tuple:
     }
 
 
-def _exp_tts_over_tf(spec: dict, jobs: int) -> tuple:
-    cfgs = _tts_configs(spec, spec["tf_list"])
-    if "cnf" in spec:
-        f = _load_formula(spec["cnf"])
-        instances = {f.num_vars: [f]}
+def _exp_tts_over_tf(jobs, *, tf_list, seed, cnf=None, n=None, alpha=None, k=None,
+                     mode="average", instances=10, trajectories=10, p_star=0.99,
+                     dt=0.05, dtm=50.0, tau=1.0):
+    cfgs = _tts_configs(mode, tf_list, dt, dtm, tau)
+    if cnf is not None and (n, alpha, k) == (None, None, None):
+        f = _load_formula(cnf)
+        formulas = {f.num_vars: [f]}
+    elif cnf is None and None not in (n, alpha, k):
+        formulas = _tts_instances([n], alpha, k, instances, seed)
     else:
-        instances = _tts_instances(spec, [spec["n"]], spec.get("instances", 10))
-    (points,) = _tts_grid(spec, instances, cfgs, jobs)
-    rows = [[tf, cfg.mode, *point] for tf, cfg, point in zip(spec["tf_list"], cfgs, points)]
+        raise ValueError("tts-vs-Tf spec takes either 'cnf' or 'n', 'alpha' and 'k', got"
+                         f" cnf={cnf!r}, n={n!r}, alpha={alpha!r}, k={k!r}")
+    (points,) = _tts_grid(formulas, cfgs, seed, trajectories, p_star, jobs)
+    rows = [[t_f, cfg.mode, *point] for t_f, cfg, point in zip(tf_list, cfgs, points)]
     return ["tf_over_tau", "mode", "p_s", "tts", "tts_99"], rows
 
 
-def _exp_single_run_trace(spec: dict) -> tuple:
-    f = _load_formula(spec.get("cnf", "builtin:unique2"))
-    every = spec.get("record_every", 10)
-    if every < 1:
-        raise ValueError(f"single-run-trace needs record_every >= 1, got {every}")
-    cfg = _config(spec, spec["tf"], spec.get("dt", 0.01), mode="heralded-single",
-                  seed=spec["seed"], record_every=every)
-    d = run_heralded_single(f, cfg, np.random.default_rng(spec["seed"])).diagnostics
+def _exp_single_run_trace(*, tf, seed, cnf="builtin:unique2", dt=0.01, record_every=10,
+                          tau=1.0):
+    f = _load_formula(cnf)
+    cfg = _config(tau, tf, dt, mode="heralded-single", seed=seed, record_every=record_every)
+    d = run_heralded_single(f, cfg, np.random.default_rng(seed)).diagnostics
     n, m = f.num_vars, f.num_clauses
     rows = [[t, theta, pur, *z, *r, *rbar] for t, theta, pur, z, r, rbar
             in zip(d["t"], d["theta"], d["purity"], d["z"], d["r"], d["rbar"])]
@@ -308,6 +297,7 @@ def _exp_single_run_trace(spec: dict) -> tuple:
     return header, rows
 
 
+# each kind's keyword-only parameters are its spec keys; a grid kind takes jobs first
 EXPERIMENTS = {
     "fidelity-contour": _exp_fidelity_contour,
     "gamma-scan": _exp_gamma_scan,
@@ -316,7 +306,6 @@ EXPERIMENTS = {
     "tts-vs-Tf": _exp_tts_over_tf,
     "single-run-trace": _exp_single_run_trace,
 }
-_POOLED_KINDS = ("phase-transition", "tts-scaling", "tts-vs-Tf")  # the grids: take jobs
 
 
 def _coerce(value: str):
@@ -326,19 +315,15 @@ def _coerce(value: str):
         return value
 
 
+# what each spec key holds, a list key in a non-empty JSON array: counts are
+# integers >= 1 and numbers are finite
 _LIST_KEYS = ("tf_list", "n_list", "alphas", "gamma_tf", "tf_over_tau", "dt_over_tau",
               "modes")
-_COUNT_KEYS = ("n_list", "n", "k", "instances", "shots", "trajectories")  # at least 1
-_INTEGER_KEYS = _COUNT_KEYS + ("seed", "record_every")
+_COUNT_KEYS = ("n_list", "n", "k", "instances", "shots", "trajectories", "record_every")
+_INTEGER_KEYS = _COUNT_KEYS + ("seed",)
 _NUMBER_KEYS = ("tf_list", "alphas", "gamma_tf", "tf_over_tau", "dt_over_tau", "tau",
                 "dt", "dtm", "tf", "alpha", "p_star")
-
-
-class _Spec(dict):
-    """An experiment spec: reading a required key it lacks is a usage error."""
-
-    def __missing__(self, key):
-        raise ValueError(f"{self['kind']} spec is missing required key {key!r}")
+_TEXT_KEYS = ("cnf", "mode", "modes")
 
 
 def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
@@ -348,25 +333,38 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     if "seed" not in spec:
-        raise ValueError("experiment spec must declare a seed")
+        raise ValueError(f"{kind} spec is missing required key 'seed'")
     for key, value in spec.items():
-        if key in _LIST_KEYS and not isinstance(value, list):
-            raise ValueError(f"{kind} spec key {key!r} must be a JSON array")
+        if key in _LIST_KEYS and not (isinstance(value, list) and value):
+            raise ValueError(f"{kind} spec key {key!r} must be a non-empty JSON array")
         values = value if key in _LIST_KEYS else [value]
         if key in _INTEGER_KEYS and any(type(v) is not int for v in values):
             raise ValueError(f"{kind} spec key {key!r} must hold integers, got {value!r}")
         if key in _COUNT_KEYS and any(v < 1 for v in values):
             raise ValueError(f"{kind} spec key {key!r} must hold integers >= 1,"
                              f" got {value!r}")
-        if key in _NUMBER_KEYS and any(type(v) not in (int, float) for v in values):
-            raise ValueError(f"{kind} spec key {key!r} must hold numbers, got {value!r}")
+        if key in _NUMBER_KEYS and not all(type(v) in (int, float) and abs(v) < math.inf
+                                           for v in values):
+            raise ValueError(f"{kind} spec key {key!r} must hold finite numbers,"
+                             f" got {value!r}")
+        if key in _TEXT_KEYS and any(type(v) is not str for v in values):
+            raise ValueError(f"{kind} spec key {key!r} must hold text, got {value!r}")
         if key == "p_star" and not 0.0 < value < 1.0:
             raise ValueError(f"{kind} spec key 'p_star' must lie in (0, 1), got {value!r}")
     name = spec.get("name", kind.replace("-", "_").lower())
     if not isinstance(name, str) or not name or any(s in name for s in ("/", "\\", "..")):
         raise ValueError(f"{kind} spec 'name' must be a plain file stem, got {name!r}")
-    parallel = {"jobs": jobs} if kind in _POOLED_KINDS else {}
-    header, rows, *fit = EXPERIMENTS[kind](_Spec(spec), **parallel)
+    # the kind's signature declares its keys: one it lacks or does not take is
+    # refused here, before any draw or run; it gets seed and jobs if it takes them
+    signature = inspect.signature(EXPERIMENTS[kind])
+    keys = {key: value for key, value in spec.items()
+            if key in signature.parameters or key not in ("kind", "name", "seed")}
+    pooled = (jobs,) if "jobs" in signature.parameters else ()
+    try:
+        signature.bind(*pooled, **keys)
+    except TypeError as exc:
+        raise ValueError(f"{kind} spec: {exc}") from None
+    header, rows, *fit = EXPERIMENTS[kind](*pooled, **keys)
     # the directory is made only once the kind has run, so a refused spec
     # leaves none
     outdir.mkdir(parents=True, exist_ok=True)

@@ -190,7 +190,9 @@ def is_satisfiable(f: CnfFormula) -> bool:
 
 
 def num_clauses_for(n: int, alpha: float) -> int:
-    """m = round(alpha * n), rounding half up."""
+    """m = round(alpha * n), rounding half up; a non-finite alpha is refused."""
+    if not math.isfinite(alpha):
+        raise SatError(f"clause density alpha must be finite, got {alpha}")
     return int(math.floor(alpha * n + 0.5))
 
 

@@ -5,6 +5,7 @@ exit codes, CSV/manifest outputs, and deterministic replays.
 import concurrent.futures
 import contextlib
 import csv
+import inspect
 import json
 import os
 import signal
@@ -276,7 +277,9 @@ def test_gen_rejects_wide_clauses(capsys):
 @pytest.mark.parametrize("args", [
     ["--n", "3", "--alpha", "0.1", "--k", "3"],  # zero clauses
     ["--n", "4", "--alpha", "0.5", "--k", "3", "--unique"],  # no unique instance
-], ids=["zero-clauses", "no-unique-instance"])
+    ["--n", "3", "--alpha", "inf", "--k", "2"],  # an OverflowError traceback
+    ["--n", "3", "--alpha", "nan", "--k", "2", "--unique"],
+], ids=["zero-clauses", "no-unique-instance", "alpha-inf", "alpha-nan-unique"])
 def test_refused_gen_makes_no_directory(args, tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["gen", *args, "--outdir", str(outdir)]) == EXIT_USAGE
@@ -616,6 +619,124 @@ def test_experiment_missing_key_is_usage_error(tmp_path, capsys):
     assert main(["experiment", str(spec_path), "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "tts-vs-Tf" in err and "'tf_list'" in err
+
+
+def refused_spec(spec, tmp_path, capsys, *options):
+    """stderr of `zenosat experiment` on a spec it refuses: exit 2, nothing written."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["experiment", str(spec_path), *options, "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("kind", list(EXPERIMENTS))
+def test_spec_key_the_kind_does_not_take_is_refused(kind, tmp_path, capsys):
+    # a key no kind reads ran the spec without it
+    err = refused_spec(dict(PINNED_MANIFESTS[kind]["spec"], bogus=1), tmp_path, capsys)
+    assert kind in err and "'bogus'" in err
+
+
+REQUIRED_KEYS = {
+    "fidelity-contour": ["tf_over_tau", "dt_over_tau"],
+    "gamma-scan": ["gamma_tf"],
+    "phase-transition": ["n", "k", "alphas", "tf_list"],
+    "tts-scaling": ["n_list", "alpha", "k", "tf"],
+    "tts-vs-Tf": ["tf_list", "n", "alpha", "k"],  # or cnf in place of the last three
+    "single-run-trace": ["tf"],
+}
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, keys in REQUIRED_KEYS.items()
+                                       for key in keys + ["seed"]])
+def test_spec_missing_a_required_key_names_it(kind, key, tmp_path, capsys):
+    spec = {k: v for k, v in PINNED_MANIFESTS[kind]["spec"].items() if k != key}
+    err = refused_spec(spec, tmp_path, capsys)
+    assert kind in err and repr(key) in err
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("phase-transition", "mode", "heralded-restart"),  # it takes modes
+    ("tts-scaling", "tf_list", [10.0, 30.0]),  # it takes one tf
+    ("tts-vs-Tf", "cnf", "builtin:unique2"),  # beside n, alpha and k
+    ("phase-transition", "jobs", 2),  # --jobs, not the spec, sets the pool size
+    ("gamma-scan", "jobs", 2),
+], ids=["pt-mode", "scaling-tf_list", "tts-vs-Tf-cnf-and-n", "pt-jobs", "gamma-jobs"])
+def test_spec_key_the_kind_would_not_read_is_refused(kind, key, value, tmp_path, capsys):
+    # each ran without the key and exited 0: phase-transition averaged runs
+    # only, tts-scaling its one tf, tts-vs-Tf the drawn instances
+    err = refused_spec(dict(PINNED_MANIFESTS[kind]["spec"], **{key: value}), tmp_path,
+                       capsys)
+    assert kind in err and repr(key) in err
+
+
+NUMBER_CASES = [(kind, key) for kind, manifest in PINNED_MANIFESTS.items()
+                for key in manifest["spec"] if key in cli._NUMBER_KEYS]
+
+
+@pytest.mark.parametrize("kind, key", NUMBER_CASES,
+                         ids=[f"{kind}-{key}" for kind, key in NUMBER_CASES])
+def test_spec_number_key_must_be_finite(kind, key, tmp_path, capsys):
+    # json reads Infinity and NaN: "alphas": [Infinity] ended in an
+    # OverflowError traceback with exit 1
+    spec = PINNED_MANIFESTS[kind]["spec"]
+    for text in ("Infinity", "-Infinity", "NaN"):
+        value = float(text.lower())
+        bad = dict(spec, **{key: [value] if key in cli._LIST_KEYS else value})
+        err = refused_spec(bad, tmp_path, capsys)
+        assert repr(key) in err and "finite" in err
+        option = f"{key}={f'[{text}]' if key in cli._LIST_KEYS else text}"
+        err = refused_spec(spec, tmp_path, capsys, "--set", option)
+        assert repr(key) in err and "finite" in err
+
+
+LIST_CASES = [(kind, key) for kind, manifest in PINNED_MANIFESTS.items()
+              for key in manifest["spec"] if key in cli._LIST_KEYS]
+
+
+@pytest.mark.parametrize("kind, key", LIST_CASES,
+                         ids=[f"{kind}-{key}" for kind, key in LIST_CASES])
+def test_spec_list_key_must_not_be_empty(kind, key, tmp_path, capsys):
+    # tts-vs-Tf's empty tf_list ended in an IndexError traceback and
+    # phase-transition's wrote a header-only CSV
+    err = refused_spec(dict(PINNED_MANIFESTS[kind]["spec"], **{key: []}), tmp_path, capsys)
+    assert repr(key) in err and "non-empty" in err
+
+
+@pytest.mark.parametrize("kind", ["fidelity-contour", "gamma-scan", "tts-vs-Tf",
+                                  "single-run-trace"])
+def test_spec_cnf_must_be_text(kind, tmp_path, capsys):
+    # both ended in a TypeError traceback from Path()
+    spec = PINNED_MANIFESTS[kind]["spec"]
+    for err in (refused_spec(spec, tmp_path, capsys, "--set", "cnf=5"),
+                refused_spec(dict(spec, cnf=None), tmp_path, capsys)):
+        assert "'cnf'" in err and "text" in err
+
+
+def _documented_spec_keys(kind):
+    """(key, default) rows of the kind's spec-key table in docs/csv_schema.md."""
+    text = (Path(__file__).parents[1] / "docs" / "csv_schema.md").read_text()
+    section = text.split(f"\n## `{kind}`\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| spec key | default |\n| --- | --- |\n", 1)[1]
+    return [tuple(cell.strip() for cell in row.strip("|").split("|"))
+            for row in table.split("\n\n", 1)[0].splitlines()]
+
+
+@pytest.mark.parametrize("kind", list(EXPERIMENTS))
+def test_csv_schema_lists_each_kinds_spec_keys(kind):
+    # a kind's keyword-only parameters are its spec keys; each is documented
+    # with its default and has a row in the table of what each key holds
+    params = [p for p in inspect.signature(EXPERIMENTS[kind]).parameters.values()
+              if p.kind is p.KEYWORD_ONLY]
+    assert _documented_spec_keys(kind) == [
+        (f"`{p.name}`", "required" if p.default is p.empty
+         else "unset" if p.default is None else f"`{json.dumps(p.default)}`")
+        for p in params
+    ]
+    typed = cli._LIST_KEYS + cli._INTEGER_KEYS + cli._NUMBER_KEYS + cli._TEXT_KEYS
+    assert [p.name for p in params if p.name not in typed] == []
 
 
 def test_experiment_list_key_must_be_array(tmp_path, capsys):

@@ -206,6 +206,13 @@ def test_num_clauses_rounds_half_up():
     assert num_clauses_for(3, math.pi) == 9  # 9.42 -> 9
 
 
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_num_clauses_refuses_non_finite_alpha(alpha):
+    # inf ended in an OverflowError and nan in a ValueError, both tracebacks
+    with pytest.raises(SatError, match="must be finite"):
+        num_clauses_for(3, alpha)
+
+
 def test_random_instance_shape_and_determinism():
     f1 = random_instance(6, 2.0, 3, np.random.default_rng(7))
     f2 = random_instance(6, 2.0, 3, np.random.default_rng(7))
