@@ -388,8 +388,15 @@ def run_experiment_spec(spec: dict, outdir: Path, jobs: int = 1) -> list[str]:
     return outputs
 
 
+def _json_object(value, what: str) -> dict:
+    """value, if it is a JSON object; else a usage error."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(value):.40}")
+    return value
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
-    spec = json.loads(Path(args.spec).read_text())
+    spec = _json_object(json.loads(Path(args.spec).read_text()), "experiment spec")
     for override in args.set or []:
         if "=" not in override:
             print(f"error: --set expects key=value, got {override!r}",
@@ -404,8 +411,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    spec = manifest["spec"]
+    manifest = _json_object(json.loads(Path(args.manifest).read_text()), "manifest")
+    spec = _json_object(manifest.get("spec"), "manifest 'spec'")
     src_dir = Path(args.manifest).parent
     outdir = Path(args.out) if args.out else src_dir / "replay"
     outputs = run_experiment_spec(spec, outdir, jobs=args.jobs)

@@ -189,10 +189,21 @@ def is_satisfiable(f: CnfFormula) -> bool:
     return any(sols.size for sols in _solution_chunks(f))
 
 
+# The bound on |alpha| n that num_clauses_for allows. It lies far above any
+# instance a run can use (a step costs 2^n per clause, and the largest
+# committed input has m = 43, at n = 10 and alpha = 4.3) and refuses a huge
+# finite alpha before random_instance loops over its clauses.
+MAX_CLAUSES = 10**5
+
+
 def num_clauses_for(n: int, alpha: float) -> int:
-    """m = round(alpha * n), rounding half up; a non-finite alpha is refused."""
+    """m = round(alpha * n), rounding half up; a non-finite alpha, or one with
+    |alpha| n above MAX_CLAUSES, is refused."""
     if not math.isfinite(alpha):
         raise SatError(f"clause density alpha must be finite, got {alpha}")
+    if abs(alpha) * n > MAX_CLAUSES:
+        raise SatError(f"clause density alpha={alpha} gives |alpha| n = {abs(alpha) * n:.3g}"
+                       f" for n={n}, above the {MAX_CLAUSES} clauses allowed")
     return int(math.floor(alpha * n + 0.5))
 
 

@@ -226,21 +226,23 @@ def kraus_measure_gathered(
     index: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``dynamics.kraus_measure`` as each clause's gather and scatter through
-    its index table: per clause it gathers block = psi[index[i]], draws the
-    same readout, applies M_r = a+ (1 - P) + a- P with the larger amplitude 1,
-    normalized by |M_r psi|^2 = a+^2 (|psi|^2 - p) + a-^2 p with |psi|^2 read
-    per clause, and scatters the block back, in place on psi."""
+    its index table: per clause it gathers block = psi[index[i]], reads the
+    same readout from the step's m uniforms and then m normals, applies
+    M_r = a+ (1 - P) + a- P with the larger amplitude 1, normalized by
+    |M_r psi|^2 = a+^2 (|psi|^2 - p) + a-^2 p with |psi|^2 read per clause,
+    and scatters the block back, in place on psi."""
     inv_sqrt_tau = 1.0 / math.sqrt(tau)
     sigma = 1.0 / math.sqrt(dt)
+    branches, normals = rng.random(len(vs)), rng.standard_normal(len(vs))
     readouts = np.empty(len(vs))
     for i, (v, idx) in enumerate(zip(vs, index)):
         block = psi[idx]
         amp = v.dot(block)
         p = amp.dot(amp)
         mean = inv_sqrt_tau
-        if rng.random() >= min(max(1.0 - p, 0.0), 1.0):
+        if branches[i] >= min(max(1.0 - p, 0.0), 1.0):
             mean = -mean
-        readouts[i] = r = rng.normal(mean, sigma)
+        readouts[i] = r = mean + sigma * normals[i]
         x = dt * r * inv_sqrt_tau  # ln(a+/a-)
         a_plus, a_minus = (1.0, math.exp(-x)) if x >= 0.0 else (math.exp(x), 1.0)
         norm = math.sqrt(a_plus * a_plus * (psi.dot(psi) - p) + a_minus * a_minus * p)
@@ -252,17 +254,18 @@ def kraus_measure_gathered(
 
 
 def kraus_measure_dense(
-    rho: np.ndarray, x: np.ndarray, tau: float, dt: float, rng: np.random.Generator
+    rho: np.ndarray, x: np.ndarray, tau: float, dt: float, u: float, z: float
 ) -> tuple[np.ndarray, float]:
     """One generalized measurement of an observable x with x^2 = 1 on a
-    density matrix: the same draws as ``dynamics.kraus_measure``, with weights
+    density matrix, from a clause's uniform u and normal z as
+    ``dynamics.kraus_measure`` uses them, with weights
     Tr(P+- rho) = (1 +- <x>)/2 and the update M_r rho M_r / Tr(...)."""
     w_plus = 0.5 * (1.0 + float(np.vdot(x, rho).real))
     w_plus = min(max(w_plus, 0.0), 1.0)
     mean = 1.0 / math.sqrt(tau)
-    if rng.random() >= w_plus:
+    if u >= w_plus:
         mean = -mean
-    r = rng.normal(mean, 1.0 / math.sqrt(dt))
+    r = mean + (1.0 / math.sqrt(dt)) * z
     a_plus = math.exp(-dt / 4.0 * (r - 1.0 / math.sqrt(tau)) ** 2)
     a_minus = math.exp(-dt / 4.0 * (r + 1.0 / math.sqrt(tau)) ** 2)
     # M_r = a+ P+ + a- P- = (a+ + a-)/2 + ((a+ - a-)/2) x
@@ -294,15 +297,18 @@ def dense_average_run(f: CnfFormula, cfg) -> np.ndarray:
 
 def dense_heralded_run(f: CnfFormula, cfg, rng: np.random.Generator):
     """A discrete heralded trajectory over cfg.t_f without detection, on the
-    dense density matrix. Returns the final rho and the (steps, m) readouts."""
+    dense density matrix, drawing each step's m uniforms and then its m
+    normals. Returns the final rho and the (steps, m) readouts."""
     cs = ClauseSet(f)
     rho = plus_density(f.num_vars)
     steps = max(1, round(cfg.t_f / cfg.dt))
     readouts = np.empty((steps, cs.m))
     for step in range(1, steps + 1):
         theta = cfg.schedule.theta(step * cfg.dt / cfg.t_f)
+        us, zs = rng.random(cs.m), rng.standard_normal(cs.m)
         for i, x in enumerate(cs.observables(theta)):
-            rho, readouts[step - 1, i] = kraus_measure_dense(rho, x, cfg.tau, cfg.dt, rng)
+            rho, readouts[step - 1, i] = kraus_measure_dense(rho, x, cfg.tau, cfg.dt,
+                                                             us[i], zs[i])
     return rho, readouts
 
 

@@ -279,7 +279,9 @@ def test_gen_rejects_wide_clauses(capsys):
     ["--n", "4", "--alpha", "0.5", "--k", "3", "--unique"],  # no unique instance
     ["--n", "3", "--alpha", "inf", "--k", "2"],  # an OverflowError traceback
     ["--n", "3", "--alpha", "nan", "--k", "2", "--unique"],
-], ids=["zero-clauses", "no-unique-instance", "alpha-inf", "alpha-nan-unique"])
+    ["--n", "3", "--alpha", "1e300", "--k", "2"],  # looped over 3e300 clauses
+], ids=["zero-clauses", "no-unique-instance", "alpha-inf", "alpha-nan-unique",
+        "alpha-huge"])
 def test_refused_gen_makes_no_directory(args, tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["gen", *args, "--outdir", str(outdir)]) == EXIT_USAGE
@@ -889,6 +891,34 @@ def test_refused_spec_leaves_no_output_directory(tmp_path):
     with pytest.raises(ValueError):
         run_experiment_spec({"kind": "tts-vs-Tf", "seed": 1}, outdir)
     assert not (tmp_path / "out").exists()
+
+
+NON_OBJECTS = {"array": [1], "string": "x", "number": 3, "null": None}
+
+
+@pytest.mark.parametrize("overrides", [[], ["--set", "seed=1"]], ids=["file", "set"])
+@pytest.mark.parametrize("value", list(NON_OBJECTS.values()), ids=list(NON_OBJECTS))
+def test_spec_that_is_not_a_json_object_is_refused(value, overrides, tmp_path, capsys):
+    # [1] ended in an AttributeError, and with --set in a TypeError from
+    # spec[key] = ..., both tracebacks with exit 1
+    (tmp_path / "spec.json").write_text(json.dumps(value))
+    code = main(["experiment", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out"),
+                 *overrides])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and "must be a JSON object" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+@pytest.mark.parametrize("manifest", [[1], {"spec": [1]}, {"outputs": ["x.csv"]}],
+                         ids=["array", "spec-array", "no-spec"])
+def test_replay_refuses_a_manifest_or_spec_that_is_not_a_json_object(manifest, tmp_path,
+                                                                     capsys):
+    (tmp_path / "x_manifest.json").write_text(json.dumps(manifest))
+    assert main(["replay", str(tmp_path / "x_manifest.json")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "must be a JSON object" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x_manifest.json"]
 
 
 def test_experiment_unknown_kind(tmp_path):

@@ -2,6 +2,7 @@
 map, the deterministic ensemble step, and the stochastic trajectory step.
 """
 
+import copy
 import math
 import warnings
 
@@ -128,11 +129,17 @@ def test_kraus_measure_matches_the_gathering_reference(case):
     rng, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
     for step in range(1, 401):
         vs = cs.violating_vectors(step * math.pi / 800)
+        draws = copy.deepcopy(rng)
         psi, r = kraus_measure(psi, vs, 1.0, 0.25, rng, cs.frames)
         ref, r_ref = kraus_measure_gathered(ref, vs, 1.0, 0.25, rng_ref, cs.index)
         assert np.array_equal(r, r_ref), step
         assert np.max(np.abs(psi - ref)) < 1e-14, step
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12, step
+        # the step's draws: m uniforms, then m normals z; r = z/sqrt(dt) +- 1/sqrt(tau)
+        draws.random(cs.m)
+        spread = draws.standard_normal(cs.m) * (1.0 / math.sqrt(0.25))
+        assert np.all((r == spread + 1.0) | (r == spread - 1.0)), step
+        assert rng.bit_generator.state == draws.bit_generator.state, step  # same next draw
 
 
 def test_measurement_operators_resolve_identity():
@@ -160,19 +167,20 @@ def test_monte_carlo_mean_matches_average_map():
 
 
 class QuadratureDraws:
-    """A stand-in for kraus_measure's generator: random() returns the branch
-    (0 picks the + readout mean, 1 the - one) and normal(mean, sigma) returns
-    mean + sigma x at one Gauss-Hermite node x. This ties the test to the two
-    draws kraus_measure makes per clause, random() and then normal()."""
+    """A stand-in for kraus_measure's generator: random(size) returns the
+    branch for every clause (0 picks the + readout mean, 1 the - one) and
+    standard_normal(size) one Gauss-Hermite node x as every clause's z. This
+    ties the test to the two draws kraus_measure makes per step,
+    random(m) and then standard_normal(m)."""
 
     def __init__(self, branch, node):
         self.branch, self.node = branch, node
 
-    def random(self):
-        return self.branch
+    def random(self, size):
+        return np.full(size, self.branch)
 
-    def normal(self, mean, sigma):
-        return mean + sigma * self.node
+    def standard_normal(self, size):
+        return np.full(size, self.node)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -530,14 +530,15 @@ def test_pure_engine_matches_dense_kraus_path_at_intermediate_strength(case):
     # normalization carried as a+/|M_r psi| would, so psi must stay finite
     # and follow the dense-rho path draw for draw. Ten steps, the theta
     # increments of the projective-limit case, give the n6 run violating
-    # readouts (r < 0) ahead of further clauses in the same step.
+    # readouts (r < 0) ahead of further clauses in the same step at
+    # generator seed 6.
     if case == "n6":
         f = random_instance(6, 4.3, 3, np.random.default_rng(6))
     else:
         f = CLAUSE_LAYOUTS[case]
     cfg = cfg_with(t_f=4.0, dt=0.4, tau=1e-3, mode="heralded-single", record_every=1)
-    out = run_heralded_single(f, cfg, np.random.default_rng(5), detect=False)
-    rho, readouts = dense_heralded_run(f, cfg, np.random.default_rng(5))
+    out = run_heralded_single(f, cfg, np.random.default_rng(6), detect=False)
+    rho, readouts = dense_heralded_run(f, cfg, np.random.default_rng(6))
     x = cfg.dt * np.abs(readouts) / math.sqrt(cfg.tau)
     assert 300.0 < x.min() and x.max() < 700.0
     if case == "n6":
@@ -686,13 +687,13 @@ SEED_FOR_SEED = {
     ),
     ("heralded-restart", 0.25, TWO_SAT_UNIQUE, 20.0, 0): (
         (True, False), False, None, None, 2, 22.0, 1.0,
-        [2.0722763733558605, -0.8863374928592733],
+        [1.1136625071407267, -0.009422393098767246],
     ),
     ("heralded-single", 0.01, TWO_SAT_UNSAT, 20.0, 0): (
         None, True, 18.75, 3, 1, 18.75, None, None,
     ),
     ("heralded-single", 0.25, TWO_SAT_UNSAT, 20.0, 0): (
-        None, True, 10.25, 2, 1, 10.25, None, None,
+        None, True, 15.25, 2, 1, 15.25, None, None,
     ),
     # three attempts, the last one with detection off
     ("heralded-restart", 0.01, TWO_SAT_UNSAT, 20.0, 1): (
@@ -701,7 +702,7 @@ SEED_FOR_SEED = {
     ),
     ("heralded-restart", 0.25, TWO_SAT_UNSAT, 30.0, 1): (
         (True, True), False, None, None, 3, 32.0, 1.0,
-        [1.4697891647949448, 1.5492933497822614],
+        [1.2365951984086938, 0.6529004993059515],
     ),
 }
 
