@@ -216,11 +216,17 @@ def _instance_success(task) -> float:
                for out in outs) / runs
 
 
-def _tts_configs(mode: str, tf_list: list, dt: float, dtm: float, tau: float) -> list:
+def _tts_configs(kind: str, mode: str, tf_list: list, dt: float, dtm: float, tau: float,
+                 trajectories) -> tuple[list, int]:
+    """The config of each T_f and the runs per instance at each: one averaged
+    run, or `trajectories` heralded restarts (10 if unset)."""
     if mode not in ("average", "heralded-restart"):
         raise ValueError("time-to-solution kinds run modes 'average' and "
                          f"'heralded-restart', not {mode!r}")
-    return [_config(tau, t_f, dt, dtm, mode=mode) for t_f in tf_list]
+    if mode == "average" and trajectories is not None:
+        raise ValueError(f"{kind} spec key 'trajectories' has no effect in mode 'average'")
+    runs = 1 if mode == "average" else 10 if trajectories is None else trajectories
+    return [_config(tau, t_f, dt, dtm, mode=mode) for t_f in tf_list], runs
 
 
 def _tts_instances(n_list: list, alpha: float, k: int, count: int, seed: int) -> dict:
@@ -231,13 +237,13 @@ def _tts_instances(n_list: list, alpha: float, k: int, count: int, seed: int) ->
             for n in n_list}
 
 
-def _tts_grid(formulas: dict, cfgs: list, seed: int, trajectories: int, p_star: float,
+def _tts_grid(formulas: dict, cfgs: list, runs: int, seed: int, p_star: float,
               jobs: int) -> list:
     """The time-to-solution grid over (n, T_f): for each n of `formulas` and
     each config, [p_s, tts, tts_99] of the mean exact readout success
-    probability over the n's instances. Instance i at n runs at config index
-    j from default_rng([seed, n, i, j]), so jobs changes no value."""
-    runs = 1 if cfgs[0].mode == "average" else trajectories
+    probability over the n's instances, each the mean of `runs` runs.
+    Instance i at n runs at config index j from default_rng([seed, n, i, j]),
+    so jobs changes no value."""
     tasks = [(f, enumerate_solutions(f), cfg, runs, [seed, n, i, j])
              for n, fs in formulas.items() for i, f in enumerate(fs)
              for j, cfg in enumerate(cfgs)]
@@ -248,13 +254,13 @@ def _tts_grid(formulas: dict, cfgs: list, seed: int, trajectories: int, p_star: 
 
 
 def _exp_tts_over_n(jobs, *, n_list, alpha, k, tf, seed, mode="average", instances=20,
-                    trajectories=10, p_star=0.99, dt=0.05, dtm=50.0, tau=1.0):
+                    trajectories=None, p_star=0.99, dt=0.05, dtm=50.0, tau=1.0):
     if len(n_list) < 2 or len(set(n_list)) < len(n_list):
         raise ValueError(f"tts-scaling fits lambda over n_list, which needs two or"
                          f" more distinct n and no repeats, got {n_list}")
-    (cfg,) = _tts_configs(mode, [tf], dt, dtm, tau)
+    (cfg,), runs = _tts_configs("tts-scaling", mode, [tf], dt, dtm, tau, trajectories)
     formulas = _tts_instances(n_list, alpha, k, instances, seed)
-    grid = _tts_grid(formulas, [cfg], seed, trajectories, p_star, jobs)
+    grid = _tts_grid(formulas, [cfg], runs, seed, p_star, jobs)
     rows = [[n, cfg.mode, cfg.t_f, *point] for n, (point,) in zip(n_list, grid)]
     fit = fit_lambda([(row[0], row[4]) for row in rows])
     return ["n", "mode", "t_f", "p_s", "tts", "tts_99"], rows, {
@@ -264,18 +270,21 @@ def _exp_tts_over_n(jobs, *, n_list, alpha, k, tf, seed, mode="average", instanc
 
 
 def _exp_tts_over_tf(jobs, *, tf_list, seed, cnf=None, n=None, alpha=None, k=None,
-                     mode="average", instances=10, trajectories=10, p_star=0.99,
+                     mode="average", instances=None, trajectories=None, p_star=0.99,
                      dt=0.05, dtm=50.0, tau=1.0):
-    cfgs = _tts_configs(mode, tf_list, dt, dtm, tau)
+    cfgs, runs = _tts_configs("tts-vs-Tf", mode, tf_list, dt, dtm, tau, trajectories)
     if cnf is not None and (n, alpha, k) == (None, None, None):
+        if instances is not None:
+            raise ValueError("tts-vs-Tf spec key 'instances' has no effect with 'cnf'")
         f = _load_formula(cnf)
         formulas = {f.num_vars: [f]}
     elif cnf is None and None not in (n, alpha, k):
-        formulas = _tts_instances([n], alpha, k, instances, seed)
+        formulas = _tts_instances([n], alpha, k, 10 if instances is None else instances,
+                                  seed)
     else:
         raise ValueError("tts-vs-Tf spec takes either 'cnf' or 'n', 'alpha' and 'k', got"
                          f" cnf={cnf!r}, n={n!r}, alpha={alpha!r}, k={k!r}")
-    (points,) = _tts_grid(formulas, cfgs, seed, trajectories, p_star, jobs)
+    (points,) = _tts_grid(formulas, cfgs, runs, seed, p_star, jobs)
     rows = [[t_f, cfg.mode, *point] for t_f, cfg, point in zip(tf_list, cfgs, points)]
     return ["tf_over_tau", "mode", "p_s", "tts", "tts_99"], rows
 

@@ -519,8 +519,10 @@ def _direct_p_s(spec, n, t_f, j):
 def test_tts_kinds_follow_the_per_instance_seeding(mode, tmp_path):
     # each row's p_s is the direct computation from per-instance and
     # per-(instance, T_f index) generators, in both views of the grid
-    base = {"alpha": 2.0, "k": 2, "dt": 0.25, "dtm": 10.0, "instances": 2,
-            "trajectories": 2, "seed": 6, "mode": mode}
+    base = {"alpha": 2.0, "k": 2, "dt": 0.25, "dtm": 10.0, "instances": 2, "seed": 6,
+            "mode": mode}
+    if mode == "heralded-restart":
+        base["trajectories"] = 2
     scaling = dict(base, kind="tts-scaling", name="scal", n_list=[3, 4], tf=10.0)
     run_experiment_spec(scaling, tmp_path)
     rows = read_csv(tmp_path / "scal.csv")[1:]
@@ -659,18 +661,29 @@ def test_spec_missing_a_required_key_names_it(kind, key, tmp_path, capsys):
     assert kind in err and repr(key) in err
 
 
-@pytest.mark.parametrize("kind, key, value", [
-    ("phase-transition", "mode", "heralded-restart"),  # it takes modes
-    ("tts-scaling", "tf_list", [10.0, 30.0]),  # it takes one tf
-    ("tts-vs-Tf", "cnf", "builtin:unique2"),  # beside n, alpha and k
-    ("phase-transition", "jobs", 2),  # --jobs, not the spec, sets the pool size
-    ("gamma-scan", "jobs", 2),
-], ids=["pt-mode", "scaling-tf_list", "tts-vs-Tf-cnf-and-n", "pt-jobs", "gamma-jobs"])
-def test_spec_key_the_kind_would_not_read_is_refused(kind, key, value, tmp_path, capsys):
+@pytest.mark.parametrize("kind, key, changes", [
+    ("phase-transition", "mode", {"mode": "heralded-restart"}),  # it takes modes
+    ("tts-scaling", "tf_list", {"tf_list": [10.0, 30.0]}),  # it takes one tf
+    ("tts-vs-Tf", "cnf", {"cnf": "builtin:unique2"}),  # beside n, alpha and k
+    ("phase-transition", "jobs", {"jobs": 2}),  # --jobs, not the spec, sets the pool size
+    ("gamma-scan", "jobs", {"jobs": 2}),
+    # the pinned specs set trajectories, which an averaged run does not read
+    ("tts-scaling", "trajectories", {"mode": "average"}),
+    ("tts-vs-Tf", "trajectories", {"mode": "average"}),
+    # the pinned spec sets instances, which its one cnf formula stands in for
+    ("tts-vs-Tf", "instances", {"cnf": "builtin:unique2", "n": None, "alpha": None,
+                                "k": None}),
+], ids=["pt-mode", "scaling-tf_list", "tts-vs-Tf-cnf-and-n", "pt-jobs", "gamma-jobs",
+        "scaling-average-trajectories", "tts-vs-Tf-average-trajectories",
+        "tts-vs-Tf-cnf-instances"])
+def test_spec_key_the_kind_would_not_read_is_refused(kind, key, changes, tmp_path, capsys):
     # each ran without the key and exited 0: phase-transition averaged runs
-    # only, tts-scaling its one tf, tts-vs-Tf the drawn instances
-    err = refused_spec(dict(PINNED_MANIFESTS[kind]["spec"], **{key: value}), tmp_path,
-                       capsys)
+    # only, tts-scaling its one tf, tts-vs-Tf the drawn instances, an averaged
+    # tts run one run per instance, and tts-vs-Tf on a cnf its one formula. A
+    # change to None drops the key
+    spec = {k: v for k, v in dict(PINNED_MANIFESTS[kind]["spec"], **changes).items()
+            if v is not None}
+    err = refused_spec(spec, tmp_path, capsys)
     assert kind in err and repr(key) in err
 
 

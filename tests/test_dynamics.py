@@ -293,12 +293,13 @@ def test_lindblad_step_preserves_invariants():
     validate_density(rho)
 
 
-def test_lindblad_batched_matches_single():
-    rhos = np.stack([random_density(4, s) for s in range(5)])
-    out = lindblad_step(rhos, X_OBS, tau=1.0, dt=0.01)
-    for i in range(5):
-        single = lindblad_step(rhos[i], X_OBS, tau=1.0, dt=0.01)
-        assert np.allclose(out[i], single)
+@pytest.mark.parametrize("batch", [3, 5, 1])
+def test_lindblad_step_refuses_a_batch_of_rhos(batch):
+    # a (3, 4, 4) stack against unique2's three observables would broadcast
+    # and pair rho_i with X_i without an error
+    rhos = np.stack([random_density(4, s) for s in range(batch)])
+    with pytest.raises(ValueError, match="one"):
+        lindblad_step(rhos, X_OBS, tau=1.0, dt=0.01)
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -307,8 +308,7 @@ def test_lindblad_step_matches_the_stacked_reference(n):
     # per-clause stacks, and no division by the trace
     f = TWO_SAT_UNIQUE if n == 2 else random_instance(n, 4.3, 3, np.random.default_rng(0))
     xs = ClauseSet(f).observables(0.8)
-    rhos = np.stack([random_density(1 << n, seed) for seed in range(3)])
-    for rho in (rhos[0], rhos):
+    for rho in (random_density(1 << n, seed) for seed in range(3)):
         out = lindblad_step(rho, xs, tau=1.0, dt=0.01)
         assert np.max(np.abs(out - lindblad_step_stacked(rho, xs, 1.0, 0.01))) < 1e-15
 

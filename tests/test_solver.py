@@ -17,6 +17,7 @@ from oracles import (
     dense_average_run,
     dense_heralded_run,
     fidelity_pure,
+    kraus_measure_dense,
     kron_all,
     solution_state,
     success_probability_by_solution,
@@ -528,10 +529,8 @@ def test_pure_engine_matches_dense_kraus_path_at_intermediate_strength(case):
     # at dt/tau = 400 the smaller Kraus amplitude is e^(-|x|) with |x| near
     # 400: it does not underflow, but its square and the inverse square of a
     # normalization carried as a+/|M_r psi| would, so psi must stay finite
-    # and follow the dense-rho path draw for draw. Ten steps, the theta
-    # increments of the projective-limit case, give the n6 run violating
-    # readouts (r < 0) ahead of further clauses in the same step at
-    # generator seed 6.
+    # and follow the dense-rho path draw for draw over ten steps, the theta
+    # increments of the projective-limit case
     if case == "n6":
         f = random_instance(6, 4.3, 3, np.random.default_rng(6))
     else:
@@ -541,11 +540,34 @@ def test_pure_engine_matches_dense_kraus_path_at_intermediate_strength(case):
     rho, readouts = dense_heralded_run(f, cfg, np.random.default_rng(6))
     x = cfg.dt * np.abs(readouts) / math.sqrt(cfg.tau)
     assert 300.0 < x.min() and x.max() < 700.0
-    if case == "n6":
-        assert np.any(readouts[:, :-1] < 0.0)
     assert np.all(np.isfinite(out.final_state))
     assert np.array_equal(out.diagnostics["r"], readouts)
     assert np.max(np.abs(out.final_rho - rho)) < 1e-13
+
+
+def test_kraus_step_after_a_certain_violation_matches_the_dense_path():
+    # psi inside clause 0's violating subspace of the n6 instance: p = 1 up to
+    # rounding, so clause 0 takes the - branch for every uniform and its
+    # violating readout comes ahead of the other clauses, at dt/tau = 400,
+    # whatever the draws; the step must follow the dense clause-by-clause
+    # path from the same uniforms and normals
+    f = random_instance(6, 4.3, 3, np.random.default_rng(6))
+    cs, tau, dt = ClauseSet(f), 1e-3, 0.4
+    xs = cs.observables(0.7)
+    phi = np.random.default_rng(0).normal(size=cs.dim)
+    psi = 0.5 * (phi - xs[0] @ phi)  # P_0 phi
+    psi /= np.linalg.norm(psi)
+    out, readouts = dynamics.kraus_measure(psi.copy(), cs.violating_vectors(0.7), tau, dt,
+                                           np.random.default_rng(6), cs.frames)
+    draws = np.random.default_rng(6)
+    us, zs = draws.random(cs.m), draws.standard_normal(cs.m)
+    rho, dense = np.outer(psi, psi), np.empty(cs.m)
+    for i, x in enumerate(xs):
+        rho, dense[i] = kraus_measure_dense(rho, x, tau, dt, us[i], zs[i])
+    assert readouts[0] < 0.0
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(readouts, dense)
+    assert np.max(np.abs(np.outer(out, out) - rho)) < 1e-13
 
 
 @pytest.mark.parametrize("case", ["unique2", "n5"])
