@@ -89,6 +89,11 @@ _PEAK_VECTORS = 4
 _PEAK_DENSITIES = 3
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, the budget every memory refusal checks."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 class ClauseSet:
     """All clause operators of a formula, derived from two per-clause tables.
 
@@ -138,7 +143,7 @@ class ClauseSet:
         }[form]
         tables = rows * np.dtype(np.intp).itemsize * self.dim
         need = 8 * floats + tables
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        have = physical_memory()
         if need > have:
             raise ValueError(
                 f"{self.n} variables, {self.m} clauses need {need / 2**30:.3g} GiB of"

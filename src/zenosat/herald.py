@@ -4,6 +4,12 @@ filter, its exact discrete recurrence, and threshold detection.
 Filtered values track the per-clause readout mean (+1/sqrt(tau) while a
 clause is satisfied, -1/sqrt(tau) in a violating subspace); a filtered value
 below the negative threshold r_th heralds a failed run.
+
+A heralded run updates the filter and checks for failure once per step, so
+both work on Python floats: at a few channels NumPy's per-call dispatch on
+tiny arrays cost more than the arithmetic. The update applies the same IEEE
+operations in the same order as an array expression would, so the filtered
+values are bit for bit those of a float64 array recurrence.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .encoding import physical_memory
 
 
 @dataclass(frozen=True)
@@ -39,45 +47,82 @@ class FilterConfig:
         return math.ceil(self.t_be / self.dt - 1e-9)
 
 
+# Bytes the ring buffer holds per step once written: a list of one Python
+# float per channel (an 8-byte pointer and a 32-byte float block each), plus
+# about 64 for the list itself and its slot in the buffer.
+_SLOT_BYTES = 40
+_ROW_BYTES = 64
+
+
 class FilterState:
     """Per-channel filtered values rbar plus the raw-sample ring buffer.
 
-    ``shape`` is the channel layout, e.g. (m,) for one trajectory or (B, m)
-    for a batch. Updates apply the exact recurrence
+    ``shape`` is the channel layout, e.g. () for one channel, (m,) for one
+    trajectory or (B, m) for a batch. Updates apply the exact recurrence
 
         rbar(t+dt) = rbar(t) (1 - dt/T_be)
                      + [e r(t) - r(t - T_be)] dt / ((e-1) T_be)
 
     Cold start: until the buffer covers a full window the evicted sample is
-    taken as 0 and detection is suppressed; ``warmed`` turns True when the
-    ring first wraps. The window and the recurrence's two coefficients are
-    fixed by ``cfg`` and computed once.
+    0 and detection is suppressed; ``warmed`` turns True when the ring first
+    wraps. The window and the recurrence's two coefficients are fixed by
+    ``cfg`` and computed once.
+
+    The state is held as Python floats, flat over the layout in C order: the
+    filtered values in one list, and the ring buffer as ``window`` lists, one
+    per step, each the step's samples as ``tolist`` returns them (about 40
+    bytes per channel and step once written, against 8 in a float64 array).
+    An update applies x * decay + (e * r - evicted) * gain per channel in
+    one list comprehension: the same IEEE operations in the same order as
+    that expression on float64 arrays, none of them fused, so every rbar bit
+    is the same. Per call (2-vCPU Xeon, medians of 15 interleaved batches)
+    it takes 1.5 us at m = 3 channels against 3.9 us on arrays, where NumPy
+    dispatch on 3-element arrays is most of the cost; 4.0 against 3.9 us at
+    m = 26; and 5.9 against 4.0 us at m = 43, beside a Kraus step of about
+    250 us there.
+    ``update`` returns nothing; the ``rbar`` property builds the array of
+    filtered values when one is read. A buffer that would not fit in
+    physical memory is refused before it is allocated.
     """
 
     def __init__(self, cfg: FilterConfig, shape: tuple[int, ...]):
+        size = math.prod(shape)
+        need = cfg.window * (_ROW_BYTES + _SLOT_BYTES * size)
+        have = physical_memory()
+        if need > have:
+            raise ValueError(
+                f"a filter window of {cfg.window} steps of {size} channels needs"
+                f" {need / 2**30:.3g} GiB, more than {have / 2**30:.3g} GiB of"
+                f" physical memory"
+            )
         self.cfg = cfg
         self.shape = shape
-        self.rbar = np.zeros(shape)
         self.warmed = False
+        self._rbar = [0.0] * size
         self._window = cfg.window
         self._decay = 1.0 - cfg.dt / cfg.t_be
         self._gain = cfg.dt / ((math.e - 1.0) * cfg.t_be)
-        self._buffer = np.zeros((self._window,) + shape)
+        self._buffer = [[0.0] * size] * self._window  # rows are replaced, never written
         self._pos = 0
 
-    def update(self, r_new: np.ndarray) -> np.ndarray:
-        """Push one step of raw samples; returns the new rbar array."""
-        r_new = np.asarray(r_new, dtype=float)
+    @property
+    def rbar(self) -> np.ndarray:
+        """The filtered values as a new array of the channel layout."""
+        return np.array(self._rbar).reshape(self.shape)
+
+    def update(self, r_new: np.ndarray) -> None:
+        """Push one step of raw samples, an array of the channel layout."""
         if r_new.shape != self.shape:
             raise ValueError(f"sample shape {r_new.shape} != {self.shape}")
-        evicted = self._buffer[self._pos] if self.warmed else 0.0
-        self.rbar = self.rbar * self._decay + (math.e * r_new - evicted) * self._gain
-        self._buffer[self._pos] = r_new
+        samples = r_new.ravel().tolist()
+        decay, gain, e = self._decay, self._gain, math.e
+        self._rbar = [x * decay + (e * r - evicted) * gain
+                      for x, r, evicted in zip(self._rbar, samples, self._buffer[self._pos])]
+        self._buffer[self._pos] = samples
         self._pos += 1
         if self._pos == self._window:
             self._pos = 0
             self.warmed = True
-        return self.rbar
 
     def below_threshold(self) -> np.ndarray:
         """Boolean mask of channels heralding failure; all-False until warmed."""
@@ -91,17 +136,19 @@ def detect_failure(fs: FilterState) -> Optional[int]:
     None until the filter is warmed.
 
     For 1-D channel layouts only; batched callers use below_threshold().
-    Most steps herald nothing, and one argmin and one compare settle those.
-    Any other step, a nan in rbar included (argmin picks it, and it fails the
-    compare), reads the mask, whose lowest channel below threshold need not
-    hold the lowest value.
+    Most steps herald nothing, and one min() over the filtered values
+    settles those: 0.3 us per call at m = 3, against 0.5 for an argmin and a
+    compare on an array. Any other step reads the mask, whose lowest
+    channel below threshold need not hold the lowest value. A nan channel
+    never heralds: min() skips a nan after channel 0, and one in channel 0
+    makes it return nan, which fails the compare and sends the step to the
+    mask.
     """
     if len(fs.shape) != 1:
         raise ValueError("detect_failure expects a 1-D channel layout")
     if not fs.warmed:
         return None
-    rbar = fs.rbar
-    if rbar[rbar.argmin()] >= fs.cfg.r_th:
+    if min(fs._rbar) >= fs.cfg.r_th:
         return None
     below = fs.below_threshold()
     hit = int(below.argmax())

@@ -174,6 +174,12 @@ def _evolve(
     """
     sampled = rng is not None
     cs.require_memory("dense" if cfg.continuum else "psi" if sampled else "rho")
+    if sampled:  # built first: the filter refuses a ring buffer that cannot fit
+        mode, keys = "heralded-single", ("t", "theta", "purity", "z", "r", "rbar")
+        fs = FilterState(cfg.filter_config(horizon), (cs.m,))
+        update, first_failure = fs.update, detect_failure
+    else:
+        mode, keys = "average", ("t", "theta", "purity", "z")
     state = plus_state(cs.n) if sampled else plus_density(cs.n)
     if cfg.continuum:
         operators, kernel = cs.observables, sme_step if sampled else lindblad_step
@@ -185,12 +191,6 @@ def _evolve(
         operators = cs.literal_states
         kernel = partial(average_map, index=cs.index, frames=cs.frames)
         step_bytes = 8 * cs.m * cs.k * 2
-    if sampled:
-        mode, keys = "heralded-single", ("t", "theta", "purity", "z", "r", "rbar")
-        fs = FilterState(cfg.filter_config(horizon), (cs.m,))
-        update, first_failure = fs.update, detect_failure
-    else:
-        mode, keys = "average", ("t", "theta", "purity", "z")
     every = cfg.record_every
     record = {key: [] for key in keys}
     steps = max(1, round(horizon / cfg.dt))
@@ -207,7 +207,7 @@ def _evolve(
         if every and step % every == 0:
             row = (step * dt, theta, 1.0 if sampled else purity(state), local_z(state))
             if sampled:
-                row += (readouts.copy(), fs.rbar.copy())
+                row += (readouts.copy(), fs.rbar)
             for values, value in zip(record.values(), row):
                 values.append(value)
         if detect and (hit := first_failure(fs)) is not None:

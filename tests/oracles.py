@@ -4,8 +4,9 @@ rotated |+> vectors and their Kronecker products, the solution states and
 the fidelity to them, dense clause operators embedded one clause at a time,
 the partial trace, the Kraus step gathered and scattered per clause, the
 dense-rho Kraus step and averaged map, the integral form of the readout
-filter, the Lindblad step as per-clause stacks renormalized every step, a
-Heun Lindblad step), plus closed forms, Pauli matrices, the co-rotating
+filter and its recurrence on float64 arrays, the Lindblad step as
+per-clause stacks renormalized every step, a Heun Lindblad step), plus
+closed forms, Pauli matrices, the co-rotating
 frame, the Zeno diagnostic, the trace distance and a classical baseline
 solver that only tests use, the success probability summed solution by
 solution over Hamming distances, and a serial stand-in for a process pool.
@@ -319,6 +320,31 @@ def exponential_window(ages: np.ndarray, t_be: float) -> np.ndarray:
     """Window weight W(age) = e^(-age/T_be) for age in [0, T_be], else 0."""
     ages = np.asarray(ages, dtype=float)
     return np.where((ages >= 0.0) & (ages <= t_be), np.exp(-ages / t_be), 0.0)
+
+
+class ArrayFilter:
+    """The readout filter's recurrence as one float64 array expression per
+    step over the channel layout, rbar * decay + (e * r - evicted) * gain,
+    evicted being 0 until the ring buffer first wraps. FilterState computes
+    it on Python floats and must match it bit for bit."""
+
+    def __init__(self, cfg, shape: tuple[int, ...]):
+        self.rbar = np.zeros(shape)
+        self.warmed = False
+        self._window = cfg.window
+        self._decay = 1.0 - cfg.dt / cfg.t_be
+        self._gain = cfg.dt / ((math.e - 1.0) * cfg.t_be)
+        self._buffer = np.zeros((self._window,) + shape)
+        self._pos = 0
+
+    def update(self, r_new: np.ndarray) -> None:
+        evicted = self._buffer[self._pos] if self.warmed else 0.0
+        self.rbar = self.rbar * self._decay + (math.e * r_new - evicted) * self._gain
+        self._buffer[self._pos] = r_new
+        self._pos += 1
+        if self._pos == self._window:
+            self._pos = 0
+            self.warmed = True
 
 
 def windowed_filter_reference(

@@ -166,6 +166,16 @@ def test_solve_refuses_register_too_large_for_memory(tmp_path, capsys):
     assert "physical memory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["heralded-single", "heralded-restart"])
+def test_solve_refuses_filter_window_too_large_for_memory(mode, capsys):
+    # T_be = T_f / 10 makes a window of 10^11 steps of 3 clauses' samples
+    argv = ["solve", "builtin:unique2", "--mode", mode, "--Tf", "1e12", "--dt", "1"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "filter window" in captured.err and "physical memory" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "builtin:unique2", "--max-shots", "-2"],
     ["solve", "builtin:unique2", "--max-shots", "0"],

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     FILTER_VARIANCE_COEFF,
+    ArrayFilter,
     exponential_window,
     windowed_filter_reference,
 )
@@ -20,7 +21,11 @@ from zenosat.solver import RunConfig
 
 def run_filter(samples, cfg):
     fs = FilterState(cfg, ())
-    return np.array([fs.update(np.asarray(s)) for s in samples])
+    out = []
+    for s in samples:
+        fs.update(np.asarray(s))
+        out.append(fs.rbar)
+    return np.array(out)
 
 
 def test_config_validation_and_window():
@@ -101,6 +106,35 @@ def test_filter_is_linear(a, b, seed):
     assert np.allclose(combined, separate, atol=1e-12)
 
 
+def _stream(kind, shape, steps, rng):
+    """(steps,) + shape samples: normal draws, a step from 0 to -1.7 halfway,
+    or normal draws with one nan in the first channel a third of the way."""
+    if kind == "step":
+        return np.broadcast_to(np.where(np.arange(steps) < steps // 2, 0.0, -1.7)
+                               .reshape((steps,) + (1,) * len(shape)), (steps,) + shape)
+    samples = rng.normal(scale=3.0, size=(steps,) + shape)
+    if kind == "nan":
+        samples.reshape(steps, -1)[steps // 3, 0] = np.nan
+    return samples
+
+
+@pytest.mark.parametrize("kind", ["random", "step", "nan"])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["scalar", "m3", "b2m3"])
+def test_update_matches_array_recurrence_bit_for_bit(shape, kind):
+    # the stream crosses the cold start, the first wrap and later evictions
+    cfg = FilterConfig(t_be=0.07, r_th=-0.5, dt=0.01)
+    steps = 4 * cfg.window + 3
+    samples = _stream(kind, shape, steps, np.random.default_rng(17))
+    fs, ref = FilterState(cfg, shape), ArrayFilter(cfg, shape)
+    for s in samples:
+        fs.update(s)
+        ref.update(s)
+        assert fs.warmed == ref.warmed
+        assert fs.rbar.shape == shape
+        assert np.array_equal(fs.rbar, ref.rbar, equal_nan=True)
+    assert np.isnan(fs.rbar).any() == (kind == "nan")
+
+
 def test_eviction_after_window():
     # a single spike must leave the filtered value (up to the O(dt) tail)
     # once it ages past the window
@@ -143,6 +177,24 @@ def test_detect_failure_reports_lowest_channel():
     assert detect_failure(fs) == 1
 
 
+@pytest.mark.parametrize("sample, expected", [
+    ([np.nan, 1.0, -5.0], 2),
+    ([np.nan, 1.0, 2.0], None),
+    ([1.0, np.nan, -5.0], 2),
+    ([1.0, np.nan, 2.0], None),
+    ([-5.0, np.nan, -5.0], 0),
+])
+def test_nan_channel_never_heralds(sample, expected):
+    cfg = FilterConfig(t_be=0.05, r_th=-0.5, dt=0.01)
+    fs = FilterState(cfg, (3,))
+    for _ in range(cfg.window + 5):
+        fs.update(np.array(sample))
+    assert np.isnan(fs.rbar).sum() == 1
+    assert detect_failure(fs) == expected
+    below = np.flatnonzero(fs.below_threshold())
+    assert detect_failure(fs) == (int(below[0]) if below.size else None)
+
+
 def test_detect_failure_requires_one_dimensional_layout():
     cfg = FilterConfig(t_be=0.05, r_th=-0.5, dt=0.01)
     fs = FilterState(cfg, (2, 3))
@@ -162,7 +214,7 @@ def test_batched_layout_matches_individual_channels():
             ref = FilterState(cfg, ())
             for s in samples:
                 ref.update(s[i, j])
-            assert fs.rbar[i, j] == pytest.approx(ref.rbar)
+            assert fs.rbar[i, j] == ref.rbar
 
 
 def test_update_shape_check():

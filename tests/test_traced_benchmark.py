@@ -2,7 +2,8 @@
 up when a run starts and reads the shape of their second argument; a traced
 run of each clause-local mode and of the continuum trajectory must keep
 working and must count its kernel's calls, one per step for the discrete
-kernels, so that a renamed or import-time-bound kernel fails here first.
+kernels, and a heralded run its filter updates, one per step, so that a
+renamed or import-time-bound kernel or filter method fails here first.
 """
 
 import json
@@ -36,3 +37,6 @@ def test_traced_benchmark_counts_kernel(workload):
         # the discrete kernels advance every clause in one call per step
         calls = metrics[f"dynamics.{KERNELS[workload]}.calls"]["value"]
         assert calls == metrics["solver.steps"]["value"]
+    if workload in ("herald_n6_disc", "herald_n2_cont"):
+        # one filter update per step, through the method a run looks up when it starts
+        assert metrics["herald.update.calls"]["value"] == metrics["solver.steps"]["value"]
